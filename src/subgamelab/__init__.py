@@ -1,9 +1,9 @@
 """Desk-scale laboratory for zero-sum Markov games with subgame curricula."""
 
-from .curriculum import (MetricConfig, SamplerConfig, ValueEnsemble,
+from .curriculum import (MetricConfig, SamplerConfig, SamplingTable, ValueEnsemble,
                          WeightedStateBuffer, buffer_insert, compute_weight,
-                         curriculum_epoch, fps_prune, random_prune,
-                         sample_subgame, signed_values)
+                         compute_weights, curriculum_epoch, fps_prune,
+                         random_prune, sample_subgame, signed_values)
 from .envs import GridPursuitParams, RpsParams, build_env, make_grid_pursuit, make_rps
 from .evaluation import (ExploitabilityReport, NESolution, best_response,
                          evaluate_matchup, exploitability, matchup_value,
@@ -22,9 +22,10 @@ __all__ = [
     "ExperimentRecord", "ExploitabilityReport", "GameSpec", "GridPursuitParams",
     "Learner", "LearnerConfig", "MatrixSolution", "MetricConfig", "NESolution",
     "Policy", "QTable", "RecordRow", "Rng", "RpsParams", "RunConfig",
-    "SamplerConfig", "Transition", "ValueEnsemble", "ValueTable",
+    "SamplerConfig", "SamplingTable", "Transition", "ValueEnsemble", "ValueTable",
     "WeightedStateBuffer", "best_response", "best_response_value",
-    "buffer_insert", "build_env", "compute_weight", "coverage_experiment",
+    "buffer_insert", "build_env", "compute_weight", "compute_weights",
+    "coverage_experiment",
     "curriculum_epoch", "evaluate_matchup", "exploitability",
     "exploration_policy", "fps_prune", "joint_action_coverage", "make_grid_pursuit",
     "make_rng", "make_rps", "matchup_value", "minimax_q_update", "oracle_weight",

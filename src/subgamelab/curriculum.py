@@ -11,6 +11,8 @@ in feature space.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,8 @@ class MetricConfig:
     bias_mean_of_squares: bool = False
 
     def __post_init__(self):
-        if self.alpha_bias < 0.0:
-            raise ValueError("alpha_bias must be non-negative")
+        if not (math.isfinite(self.alpha_bias) and self.alpha_bias >= 0.0):
+            raise ValueError("alpha_bias must be finite and non-negative")
         if self.variant not in METRIC_VARIANTS:
             raise ValueError(f"variant must be one of {METRIC_VARIANTS}")
         if self.ensemble_size < 1:
@@ -84,77 +86,157 @@ def signed_values(vt: ValueTable) -> np.ndarray:
     return np.stack([vt.v[0], -vt.v[1]])
 
 
-def compute_weight(state: int, ens: ValueEnsemble, cfg: MetricConfig,
-                   td_context: Transition | None = None,
-                   discount: float = 1.0) -> float:
-    """Sampling weight of one state under the configured metric variant.
+def _member_rows(values: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(n, 2M) rows of each state's member values, ordered as ``ravel`` of (M, 2)."""
+    return np.ascontiguousarray(np.moveaxis(values[:, :, states], -1, 0)).reshape(
+        states.size, 2 * values.shape[0])
+
+
+def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
+                    td_context: Sequence[Transition] | None = None,
+                    discount: float = 1.0) -> np.ndarray:
+    """Sampling weights of ``states`` under the configured metric variant.
 
     full: alpha_bias * (mean checkpoint difference)^2 plus the population
     variance of the current member values. bias_only / variance_only keep
     the respective term alone; uniform is constant 1; td_error uses
-    |r + discount * V(s') - V(s)| from the given transition with player 1's
-    mean value. Always non-negative.
+    |r + discount * V(s') - V(s)| from ``td_context[i]``, a transition taken
+    at ``states[i]``, with player 1's mean value. Always non-negative.
+
+    Every term reduces one state's member values along a contiguous last
+    axis, as the 1-D ``np.mean``/``np.var`` do, so each weight is bit for bit
+    the one the state would get alone.
     """
+    states = np.asarray(states, dtype=np.int64)
     if cfg.variant == "uniform":
-        return 1.0
+        return np.ones(states.size)
     if cfg.variant == "td_error":
         if td_context is None:
-            raise ValueError("td_error variant needs the transition at this state")
-        if td_context.state != state:
-            raise ValueError("td_context must be a transition taken at this state")
+            raise ValueError("td_error variant needs the transition at each state")
+        if [tr.state for tr in td_context] != states.tolist():
+            raise ValueError("td_context must be transitions taken at these states")
         v1 = ens.current[:, 0, :]
-        v_here = float(v1[:, td_context.state].mean())
-        v_next = 0.0 if td_context.terminal else float(v1[:, td_context.next_state].mean())
-        return abs(td_context.reward1 + discount * v_next - v_here)
-    cur = ens.current[:, :, state].ravel()
-    prev = ens.previous[:, :, state].ravel()
+        v_here = np.ascontiguousarray(v1[:, states].T).mean(axis=-1)
+        nxt = [0 if tr.terminal else tr.next_state for tr in td_context]
+        v_next = np.ascontiguousarray(v1[:, nxt].T).mean(axis=-1)
+        v_next[[tr.terminal for tr in td_context]] = 0.0
+        reward = np.array([tr.reward1 for tr in td_context], dtype=np.float64)
+        return np.abs(reward + discount * v_next - v_here)
+    cur = _member_rows(ens.current, states)
     if cfg.variant == "variance_only":
-        return float(np.var(cur))
-    diffs = cur - prev
+        return np.var(cur, axis=-1)
+    diffs = cur - _member_rows(ens.previous, states)
     if cfg.bias_mean_of_squares:
-        bias = float(np.mean(diffs**2))
+        bias = np.mean(diffs**2, axis=-1)
     else:
-        bias = float(np.mean(diffs)) ** 2
+        # Python's float power (libm pow), not np.square: the two round about
+        # one value in a thousand differently, and trajectories depend on it
+        bias = np.array([m**2 for m in np.mean(diffs, axis=-1).tolist()])
     if cfg.variant == "bias_only":
         return bias
-    return cfg.alpha_bias * bias + float(np.var(cur))
+    return cfg.alpha_bias * bias + np.var(cur, axis=-1)
+
+
+def compute_weight(state: int, ens: ValueEnsemble, cfg: MetricConfig,
+                   td_context: Transition | None = None,
+                   discount: float = 1.0) -> float:
+    """Sampling weight of one state; :func:`compute_weights` for one entry."""
+    td = None if td_context is None else [td_context]
+    return float(compute_weights([state], ens, cfg, td_context=td, discount=discount)[0])
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError("weights must be finite and non-negative")
 
 
 @dataclass
 class WeightedStateBuffer:
     """Capacity-bounded particle set of (state, feature vector, weight).
 
-    States are deduplicated by index; re-inserting overwrites the weight with
-    the newer value. Insertion never prunes; callers prune when the size
-    exceeds the capacity.
+    Members are kept as arrays in ascending state order: unique ``states``,
+    their ``features`` rows and their ``weights``. Re-inserting a state
+    overwrites its weight with the newer value. Insertion never prunes;
+    callers prune when the size exceeds the capacity.
     """
 
     capacity: int
-    entries: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict)
+    states: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    features: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
+        self.states = np.asarray(self.states, dtype=np.int64)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        n = self.states.size
+        if (self.states.shape != (n,) or self.weights.shape != (n,)
+                or self.features.ndim != 2 or self.features.shape[0] != n):
+            raise ValueError("buffer needs states (n,), features (n, d) and weights (n,)")
+        if np.any(np.diff(self.states) <= 0):
+            raise ValueError("buffer states must be strictly increasing")
+        _check_weights(self.weights)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.states.size
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """States, features, weights in ascending state order (deterministic)."""
-        states = np.array(sorted(self.entries), dtype=np.int64)
-        feats = np.stack([self.entries[int(s)][0] for s in states]) if states.size else np.empty((0, 0))
-        weights = np.array([self.entries[int(s)][1] for s in states])
-        return states, feats, weights
+        """States, features, weights in ascending state order (not copies)."""
+        return self.states, self.features, self.weights
+
+    def _take(self, rows: np.ndarray) -> None:
+        self.states = self.states[rows]
+        self.features = self.features[rows]
+        self.weights = self.weights[rows]
 
 
-def buffer_insert(buf: WeightedStateBuffer, states: list[tuple[int, float]],
+def buffer_insert(buf: WeightedStateBuffer, states: Iterable[tuple[int, float]],
                   game: GameSpec) -> WeightedStateBuffer:
-    """Union the (state, weight) pairs into the buffer; newest weight wins."""
-    for state, weight in states:
-        if weight < 0.0 or not np.isfinite(weight):
-            raise ValueError("weights must be finite and non-negative")
-        buf.entries[int(state)] = (game.feature_of(int(state)), float(weight))
+    """Union the (state, weight) pairs into the buffer; newest weight wins.
+
+    The whole batch is checked before any of it is inserted.
+    """
+    newest = {int(s): float(w) for s, w in states}
+    if not newest:
+        return buf
+    new_states = np.array(sorted(newest), dtype=np.int64)
+    new_weights = np.array([newest[s] for s in new_states.tolist()])
+    _check_weights(new_weights)
+    if new_states[0] < 0 or new_states[-1] >= game.state_count:
+        raise ValueError("buffered states must be valid state indices")
+    pos = np.minimum(np.searchsorted(new_states, buf.states), new_states.size - 1)
+    old = new_states[pos] != buf.states
+    merged = np.concatenate([buf.states[old], new_states])
+    order = np.argsort(merged, kind="stable")
+    old_features = buf.features[old] if len(buf) else np.empty((0, game.feature_dim))
+    buf.states = merged[order]
+    buf.weights = np.concatenate([buf.weights[old], new_weights])[order]
+    buf.features = np.concatenate([old_features, game.features[new_states]])[order]
     return buf
+
+
+def _pairwise_distances(feats: np.ndarray) -> np.ndarray:
+    """(n, n) matrix whose row j is ``np.linalg.norm(feats - feats[j], axis=1)``.
+
+    Bit for bit: numpy's last-axis sum adds fewer than 8 terms one at a time
+    from the left, so for such widths the squared differences are summed a
+    feature column at a time, left to right, which is several times faster
+    than reducing n*n short rows and holds two (n, n) arrays at most. Wider
+    features take the norm itself.
+    """
+    if feats.shape[1] >= 8:
+        return np.linalg.norm(feats[None, :, :] - feats[:, None, :], axis=2)
+    total = None
+    for column in feats.T:
+        sq = column[None, :] - column[:, None]
+        sq *= sq
+        if total is None:
+            total = sq
+        else:
+            total += sq
+    return np.sqrt(total, out=total)
 
 
 def fps_prune(buf: WeightedStateBuffer, k: int) -> WeightedStateBuffer:
@@ -162,24 +244,27 @@ def fps_prune(buf: WeightedStateBuffer, k: int) -> WeightedStateBuffer:
 
     Seeded at the maximum-weight entry (ties break to the lowest state
     index), then repeatedly adds the entry with the largest Euclidean
-    distance to the selected set. Deterministic on identical inputs; kept
-    entries retain their weights.
+    distance to the selected set (Gonzalez 1985), ties again to the lowest
+    index. Deterministic on identical inputs; kept entries retain their
+    weights. The members' pairwise distances are computed once, which takes
+    memory quadratic in the buffer size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(buf) <= k:
         return buf
-    states, feats, weights = buf.arrays()
+    _, feats, weights = buf.arrays()
     if feats.min() < 0.0 or feats.max() > 1.0:
         raise ValueError("buffer features must be normalized to [0, 1]")
-    selected = [int(np.argmax(weights))]
-    dist = np.linalg.norm(feats - feats[selected[0]], axis=1)
+    pairwise = _pairwise_distances(feats)
+    selected = [int(weights.argmax())]
+    dist = pairwise[selected[0]].copy()
     for _ in range(k - 1):
-        nxt = int(np.argmax(dist))
+        nxt = int(dist.argmax())
         selected.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(feats - feats[nxt], axis=1))
-    keep = sorted(int(states[i]) for i in selected)
-    buf.entries = {s: buf.entries[s] for s in keep}
+        np.minimum(dist, pairwise[nxt], out=dist)
+    # a member picked twice (all remaining distances zero) is kept once
+    buf._take(sorted(set(selected)))
     return buf
 
 
@@ -187,29 +272,48 @@ def random_prune(buf: WeightedStateBuffer, k: int, rng: Rng) -> WeightedStateBuf
     """Uniformly random k-subset; baseline for the FPS spread comparison."""
     if len(buf) <= k:
         return buf
-    states, _, _ = buf.arrays()
-    keep = sorted(int(s) for s in rng.choice(states, size=k, replace=False))
-    buf.entries = {s: buf.entries[s] for s in keep}
+    chosen = rng.choice(buf.states, size=k, replace=False)
+    buf._take(np.searchsorted(buf.states, np.sort(chosen)))
     return buf
 
 
-def sample_subgame(buf: WeightedStateBuffer | None, game: GameSpec,
+@dataclass(frozen=True)
+class SamplingTable:
+    """The buffer's start-state draw table, built once per epoch.
+
+    ``cum`` is ``cumsum(weights / total)`` over ``states``; it is empty when
+    the buffer is empty or its weights sum to zero, and then no start is
+    drawn from the buffer.
+    """
+
+    states: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def of(cls, buf: WeightedStateBuffer) -> "SamplingTable":
+        states, _, weights = buf.arrays()
+        total = weights.sum()
+        if states.size == 0 or not total > 0.0:
+            return cls(states, np.empty(0))
+        return cls(states, np.cumsum(weights / total))
+
+
+def sample_subgame(buf: WeightedStateBuffer | SamplingTable | None, game: GameSpec,
                    cfg: SamplerConfig, rng: Rng) -> int:
     """Choose an episode's start state.
 
     With probability p and a usable buffer, draw a buffered state with
     probability proportional to its weight; otherwise draw from the game's
     initial distribution. An empty buffer or all-zero weights fall back to
-    the initial distribution without consuming the p-coin's draw when p=0.
+    the initial distribution without drawing the p-coin, and so does p=0.
+    ``buf`` may also be the buffer's :class:`SamplingTable`, which saves
+    rebuilding it on every call while the buffer does not change.
     """
-    if buf is not None and cfg.p > 0.0 and len(buf) > 0:
-        states, _, weights = buf.arrays()
-        total = weights.sum()
-        if total > 0.0 and rng.random() < cfg.p:
-            cum = np.cumsum(weights / total)
-            idx = min(int(np.searchsorted(cum, rng.random(), side="right")),
-                      states.size - 1)
-            return int(states[idx])
+    table = SamplingTable.of(buf) if isinstance(buf, WeightedStateBuffer) else buf
+    if table is not None and cfg.p > 0.0 and table.cum.size and rng.random() < cfg.p:
+        idx = min(int(np.searchsorted(table.cum, rng.random(), side="right")),
+                  table.cum.size - 1)
+        return int(table.states[idx])
     return sample_initial(game, rng)
 
 
@@ -231,13 +335,15 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
     ``evaluator.should_stop`` turns true. Returns (learners, buf, rows).
     """
     rows = []
+    table = None
     if buf is not None:
         previous = np.stack([signed_values(lr.values()) for lr in learners])
+        table = SamplingTable.of(buf)  # the buffer changes only at epoch end
     visited: dict[int, Transition] = {}
     stop = False
     for lr in learners:
         for _ in range(episodes_per_epoch):
-            s0 = sample_subgame(buf, game, sampler_cfg, lr.rng)
+            s0 = sample_subgame(table, game, sampler_cfg, lr.rng)
             traj = lr.run_episode(s0, max_steps)
             for tr in traj:
                 visited[tr.state] = tr
@@ -251,13 +357,11 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
     if buf is not None and visited:
         current = np.stack([signed_values(lr.values()) for lr in learners])
         ens = ValueEnsemble(current=current, previous=previous)
-        fresh = []
-        for state in sorted(visited):
-            td = visited[state] if metric_cfg.variant == "td_error" else None
-            fresh.append((state, compute_weight(state, ens, metric_cfg,
-                                                td_context=td,
-                                                discount=game.discount)))
-        buffer_insert(buf, fresh, game)
+        states = sorted(visited)
+        td = [visited[s] for s in states] if metric_cfg.variant == "td_error" else None
+        weights = compute_weights(states, ens, metric_cfg, td_context=td,
+                                  discount=game.discount)
+        buffer_insert(buf, zip(states, weights.tolist()), game)
         if len(buf) > buf.capacity:
             fps_prune(buf, buf.capacity)
     return learners, buf, rows

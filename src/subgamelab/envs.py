@@ -6,6 +6,7 @@ to a strictly larger index and backward sweeps are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -76,6 +77,8 @@ class GridPursuitParams:
             raise ValueError("grid must be at least 2x2")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if not math.isfinite(self.capture_reward):
+            raise ValueError("capture_reward must be finite")
         if (self.width * self.height) ** 2 * self.horizon > 100_000:
             raise ValueError("grid pursuit state space too large for tabular play")
 

@@ -149,19 +149,6 @@ class GameSpec:
             features = _default_features(s_count)
         return cls(ns, npr, reward1, discount, initial_dist, features, horizon)
 
-    def dense_transition(self) -> np.ndarray:
-        """Materialize the kernel as (S, A1, A2, S+1); small games only."""
-        s_count = self.state_count
-        if s_count > 2000:
-            raise ValueError("dense transition would be too large")
-        a1, a2 = self.action_counts
-        out = np.zeros((s_count, a1, a2, s_count + 1))
-        flat_idx = self.next_states.reshape(-1, self.next_states.shape[3])
-        flat_p = self.next_probs.reshape(-1, self.next_states.shape[3])
-        rows = np.repeat(np.arange(flat_idx.shape[0]), flat_idx.shape[1])
-        np.add.at(out.reshape(-1, s_count + 1), (rows, flat_idx.ravel()), flat_p.ravel())
-        return out
-
 
 def _default_features(s_count: int) -> np.ndarray:
     if s_count == 1:
@@ -266,7 +253,6 @@ def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng,
             k = _draw(np.cumsum(game.next_probs[s, a1, a2]), rng)
             nxt = int(game.next_states[s, a1, a2, k])
         r = float(game.reward1[s, a1, a2])
-        assert np.isfinite(r)  # zero-sum holds by construction: r2 = -r1
         done = nxt == terminal_idx
         traj.append(Transition(s, a1, a2, r, nxt, done))
         if done:

@@ -15,6 +15,7 @@ column aside).
 from __future__ import annotations
 
 import io
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -108,8 +109,8 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         errors.append("sample_budget must be positive")
     if cfg.eval_every <= 0:
         errors.append("eval_every must be positive")
-    if cfg.convergence_threshold <= 0:
-        errors.append("convergence_threshold must be positive")
+    if not (math.isfinite(cfg.convergence_threshold) and cfg.convergence_threshold > 0):
+        errors.append("convergence_threshold must be finite and positive")
     return errors
 
 
@@ -375,6 +376,9 @@ def parse_config(text: str) -> RunConfig:
             typed[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             errors.append(f"key '{key}': cannot parse '{value}' as {_CONFIG_KEYS[key].__name__}")
+            continue
+        if _CONFIG_KEYS[key] is float and not math.isfinite(typed[key]):
+            errors.append(f"key '{key}': must be finite, got '{value}'")
 
     for required in ("env", "method"):
         if required not in typed:

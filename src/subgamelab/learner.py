@@ -27,7 +27,8 @@ class LearnerConfig:
     "visit_count" uses lr / (1 + previous visits of the pair), and a float d
     uses lr * d**visits. ``epsilon`` mixes uniform exploration into the
     maximin policy. ``batch_size`` is how many samples are collected under
-    one exploration policy before it is refreshed from the current Q-tables.
+    one exploration policy before it is refreshed from the current Q-tables;
+    at epsilon=1 the policy is uniform and is never refreshed.
     """
 
     lr: float = 1.0
@@ -55,12 +56,21 @@ class QTable:
     Zero-sum consistency is not enforced entry by entry; each player learns
     its own table from the shared stream. The cache maps (player, state) to
     that state's solved stage game and is dropped whenever the row is
-    written.
+    written. Each state's pair of stage values is kept too, with a dirty
+    mask that starts all-true, so :func:`values_from_q` re-solves only the
+    rows written since its last call.
     """
 
     q: np.ndarray  # (2, S, A1, A2)
     visits: np.ndarray  # (S, A1, A2) int64
     _stage_cache: dict = field(default_factory=dict, repr=False)
+    _values: np.ndarray = field(init=False, repr=False)  # (2, S)
+    _dirty: np.ndarray = field(init=False, repr=False)  # (S,) bool
+
+    def __post_init__(self):
+        s_count = self.q.shape[1]
+        self._values = np.zeros((2, s_count))
+        self._dirty = np.ones(s_count, dtype=bool)
 
     @classmethod
     def zeros(cls, game: GameSpec) -> "QTable":
@@ -88,14 +98,14 @@ class QTable:
     def invalidate(self, state: int) -> None:
         self._stage_cache.pop((0, state), None)
         self._stage_cache.pop((1, state), None)
+        self._dirty[state] = True
 
 
 @dataclass
 class ValueTable:
-    """Per-player maximin state values, with a slot for the previous epoch."""
+    """Per-player maximin state values."""
 
     v: np.ndarray  # (2, S)
-    previous: np.ndarray | None = None
 
 
 def _effective_lr(cfg: LearnerConfig, prior_visits: int) -> float:
@@ -152,13 +162,16 @@ def exploration_policy(q: QTable, cfg: LearnerConfig) -> Policy:
 
 
 def values_from_q(q: QTable) -> ValueTable:
-    """Each player's maximin value of its current stage matrix, per state."""
-    s_count = q.q.shape[1]
-    v = np.empty((2, s_count))
-    for s in range(s_count):
-        v[0, s] = q.stage_value(0, s)
-        v[1, s] = q.stage_value(1, s)
-    return ValueTable(v)
+    """Each player's maximin value of its current stage matrix, per state.
+
+    Only rows invalidated since the last call are re-solved; the returned
+    table is a copy.
+    """
+    for s in np.flatnonzero(q._dirty).tolist():
+        q._values[0, s] = q.stage_value(0, s)
+        q._values[1, s] = q.stage_value(1, s)
+    q._dirty[:] = False
+    return ValueTable(q._values.copy())
 
 
 def q_error(q: QTable, oracle) -> float:
@@ -195,6 +208,7 @@ class Learner:
         traj = rollout(self.game, self.policy(), s0, self.rng, max_steps)
         minimax_q_update(self.qtable, traj, self.cfg, self.game.discount)
         self._samples_since_refresh += len(traj)
-        if self._samples_since_refresh >= self.cfg.batch_size:
+        # at epsilon=1 the policy is uniform whatever the tables hold
+        if self.cfg.epsilon < 1.0 and self._samples_since_refresh >= self.cfg.batch_size:
             self._policy = None  # stale; rebuilt lazily from the updated tables
         return traj

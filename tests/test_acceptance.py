@@ -25,6 +25,12 @@ THRESHOLD = 1e-2
 SEEDS_10 = tuple(range(10))
 
 
+def buffer_of(points, weights) -> WeightedStateBuffer:
+    """Buffer holding states 0..n-1 at the given feature points."""
+    return WeightedStateBuffer(capacity=len(points), states=np.arange(len(points)),
+                               features=points, weights=weights)
+
+
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[acceptance] criterion {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"criterion {criterion}: {detail}"
@@ -228,40 +234,33 @@ def test_criterion_8_metric_identities():
 def test_criterion_9_fps_properties():
     # exhaustive agreement on the 1-D example
     positions = [0.0, 0.1, 0.5, 1.0]
-    buf = WeightedStateBuffer(capacity=4)
-    for i, x in enumerate(positions):
-        buf.entries[i] = (np.array([x]), 2.0 if x == 0.0 else 1.0)
+    buf = buffer_of(np.reshape(positions, (-1, 1)),
+                    [2.0 if x == 0.0 else 1.0 for x in positions])
     fps_prune(buf, 2)
-    kept = sorted(float(buf.entries[s][0][0]) for s in buf.entries)
+    kept = sorted(buf.features[:, 0].tolist())
     best = max(combinations(positions, 2), key=lambda sub: abs(sub[0] - sub[1]))
     exhaustive_ok = kept == sorted(best)
 
-    def spread(entries):
-        feats = [entries[s][0] for s in entries]
-        return min(np.linalg.norm(a - b) for a, b in combinations(feats, 2))
+    def spread(buf):
+        return min(np.linalg.norm(a - b) for a, b in combinations(buf.features, 2))
 
     rng = make_rng(99)
     wins = 0
     for _ in range(100):
         pts = rng.random((40, 3))
-        fps_buf = WeightedStateBuffer(capacity=40)
-        rnd_buf = WeightedStateBuffer(capacity=40)
-        for i in range(40):
-            fps_buf.entries[i] = (pts[i], 1.0)
-            rnd_buf.entries[i] = (pts[i], 1.0)
+        fps_buf = buffer_of(pts, np.ones(40))
+        rnd_buf = buffer_of(pts, np.ones(40))
         fps_prune(fps_buf, 8)
         random_prune(rnd_buf, 8, rng)
-        if spread(fps_buf.entries) >= spread(rnd_buf.entries):
+        if spread(fps_buf) >= spread(rnd_buf):
             wins += 1
 
     pts = make_rng(5).random((25, 2))
     kept_twice = []
     for _ in range(2):
-        buf = WeightedStateBuffer(capacity=25)
-        for i in range(25):
-            buf.entries[i] = (pts[i], float(i % 7))
+        buf = buffer_of(pts, [float(i % 7) for i in range(25)])
         fps_prune(buf, 9)
-        kept_twice.append(sorted(buf.entries))
+        kept_twice.append(buf.states.tolist())
     deterministic = kept_twice[0] == kept_twice[1]
 
     ok = exhaustive_ok and wins >= 95 and deterministic

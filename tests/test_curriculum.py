@@ -2,14 +2,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subgamelab import (Learner, LearnerConfig, MetricConfig, RpsParams,
-                        RunConfig, SamplerConfig, Transition, ValueEnsemble,
-                        WeightedStateBuffer, buffer_insert, compute_weight,
-                        curriculum_epoch, fps_prune, make_rng, make_rps,
-                        oracle_weight, random_prune, run_experiment,
-                        sample_subgame, samples_to_converge, signed_values,
-                        solve_ne)
+from subgamelab import (GridPursuitParams, Learner, LearnerConfig, MetricConfig,
+                        RpsParams, RunConfig, SamplerConfig, SamplingTable,
+                        Transition, ValueEnsemble, WeightedStateBuffer,
+                        buffer_insert, compute_weight, compute_weights,
+                        curriculum_epoch, fps_prune, make_grid_pursuit, make_rng,
+                        make_rps, oracle_weight, random_prune, run_experiment,
+                        sample_initial, sample_subgame, samples_to_converge,
+                        signed_values, solve_ne)
+from subgamelab.curriculum import METRIC_VARIANTS, _pairwise_distances
 
 
 def ensemble(current, previous=None):
@@ -89,7 +93,7 @@ def test_buffer_insert_and_dedup():
     assert len(buf) == 2
     buffer_insert(buf, [(2, 2.5)], game)
     assert len(buf) == 2
-    assert buf.entries[2][1] == 2.5  # newest weight wins
+    assert buf.weights[buf.states == 2].tolist() == [2.5]  # newest weight wins
     with pytest.raises(ValueError):
         buffer_insert(buf, [(1, -0.1)], game)
 
@@ -103,11 +107,15 @@ def test_insert_many_then_prune_to_capacity():
     assert len(buf) == 4
 
 
+def buffer_of(points, weights):
+    """Buffer holding states 0..n-1 at the given feature points."""
+    points = np.asarray(points, dtype=float)
+    return WeightedStateBuffer(capacity=len(points), states=np.arange(len(points)),
+                               features=points, weights=weights)
+
+
 def one_dim_buffer(positions, weights):
-    buf = WeightedStateBuffer(capacity=len(positions))
-    for i, (x, w) in enumerate(zip(positions, weights)):
-        buf.entries[i] = (np.array([x]), float(w))
-    return buf
+    return buffer_of(np.reshape(positions, (-1, 1)), weights)
 
 
 def min_pairwise(feats):
@@ -125,7 +133,7 @@ def test_fps_matches_exhaustive_max_min_distance():
     positions = [0.0, 0.1, 0.5, 1.0]
     buf = one_dim_buffer(positions, [2.0, 1.0, 1.0, 1.0])
     fps_prune(buf, 2)
-    kept = sorted(float(buf.entries[s][0][0]) for s in buf.entries)
+    kept = sorted(buf.features[:, 0].tolist())
     best = max((subset for subset in combinations(positions, 2)),
                key=lambda sub: min_pairwise([np.array([x]) for x in sub]))
     assert kept == sorted(best) == [0.0, 1.0]
@@ -136,12 +144,10 @@ def test_fps_deterministic_and_keeps_weights():
     pts = rng.random((20, 3))
     kept = []
     for _ in range(2):
-        buf = WeightedStateBuffer(capacity=20)
-        for i in range(20):
-            buf.entries[i] = (pts[i], float(i))
+        buf = buffer_of(pts, np.arange(20.0))
         fps_prune(buf, 6)
-        kept.append(sorted(buf.entries))
-        assert all(buf.entries[s][1] == float(s) for s in buf.entries)
+        kept.append(buf.states.tolist())
+        assert buf.weights.tolist() == [float(s) for s in buf.states]
     assert kept[0] == kept[1]
 
 
@@ -151,15 +157,12 @@ def test_fps_beats_random_pruning_on_spread():
     trials = 100
     for _ in range(trials):
         pts = rng.random((30, 3))
-        fps_buf = WeightedStateBuffer(capacity=30)
-        rnd_buf = WeightedStateBuffer(capacity=30)
-        for i in range(30):
-            fps_buf.entries[i] = (pts[i], 1.0)
-            rnd_buf.entries[i] = (pts[i], 1.0)
+        fps_buf = buffer_of(pts, np.ones(30))
+        rnd_buf = buffer_of(pts, np.ones(30))
         fps_prune(fps_buf, 6)
         random_prune(rnd_buf, 6, rng)
-        fps_spread = min_pairwise([fps_buf.entries[s][0] for s in fps_buf.entries])
-        rnd_spread = min_pairwise([rnd_buf.entries[s][0] for s in rnd_buf.entries])
+        fps_spread = min_pairwise(fps_buf.features)
+        rnd_spread = min_pairwise(rnd_buf.features)
         if fps_spread >= rnd_spread:
             dominated += 1
     assert dominated >= 95
@@ -177,8 +180,6 @@ def test_sampler_p_zero_equals_initial_distribution():
     buffer_insert(buf, [(1, 5.0), (2, 1.0)], game)
     cfg = SamplerConfig(p=0.0)
     draws_a = [sample_subgame(buf, game, cfg, make_rng(0)) for _ in range(50)]
-    from subgamelab import sample_initial
-
     rng = make_rng(0)
     draws_b = [sample_initial(game, rng) for _ in range(50)]
     assert draws_a == draws_b  # identical stream, not just identical law
@@ -293,9 +294,216 @@ def test_curriculum_preserves_convergence_on_rps2(variant):
 def test_metric_config_validation():
     with pytest.raises(ValueError):
         MetricConfig(alpha_bias=-0.1)
+    with pytest.raises(ValueError, match="alpha_bias"):
+        MetricConfig(alpha_bias=float("nan"))
     with pytest.raises(ValueError):
         MetricConfig(variant="entropy")
     with pytest.raises(ValueError):
         MetricConfig(ensemble_size=0)
     with pytest.raises(ValueError):
         SamplerConfig(p=1.2)
+
+
+# -- the array-backed epoch against reference copies of the per-state code
+# it replaced; every comparison is exact
+
+def reference_weight(state, ens, cfg, td_context=None, discount=1.0):
+    """One state's weight, computed the way the per-state formula did."""
+    if cfg.variant == "uniform":
+        return 1.0
+    if cfg.variant == "td_error":
+        v1 = ens.current[:, 0, :]
+        v_here = float(v1[:, td_context.state].mean())
+        v_next = 0.0 if td_context.terminal else float(v1[:, td_context.next_state].mean())
+        return abs(td_context.reward1 + discount * v_next - v_here)
+    cur = ens.current[:, :, state].ravel()
+    prev = ens.previous[:, :, state].ravel()
+    if cfg.variant == "variance_only":
+        return float(np.var(cur))
+    diffs = cur - prev
+    if cfg.bias_mean_of_squares:
+        bias = float(np.mean(diffs**2))
+    else:
+        bias = float(np.mean(diffs)) ** 2
+    if cfg.variant == "bias_only":
+        return bias
+    return cfg.alpha_bias * bias + float(np.var(cur))
+
+
+def reference_fps_keep(states, feats, weights, k):
+    """States kept by the greedy loop that recomputed distances each step."""
+    selected = [int(np.argmax(weights))]
+    dist = np.linalg.norm(feats - feats[selected[0]], axis=1)
+    for _ in range(k - 1):
+        nxt = int(np.argmax(dist))
+        selected.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(feats - feats[nxt], axis=1))
+    return sorted(int(states[i]) for i in set(selected))
+
+
+def reference_sample(entries, game, p, rng):
+    """Start-state draw from a {state: weight} buffer, sorted on every call."""
+    if p > 0.0 and entries:
+        states = np.array(sorted(entries), dtype=np.int64)
+        weights = np.array([entries[int(s)] for s in states])
+        total = weights.sum()
+        if total > 0.0 and rng.random() < p:
+            cum = np.cumsum(weights / total)
+            idx = min(int(np.searchsorted(cum, rng.random(), side="right")),
+                      states.size - 1)
+            return int(states[idx])
+    return sample_initial(game, rng)
+
+
+def random_td_contexts(rng, states, s_count):
+    out = []
+    for s in states:
+        terminal = bool(rng.integers(2))
+        nxt = s_count if terminal else int(rng.integers(0, s_count))
+        out.append(Transition(int(s), 0, 0, float(rng.uniform(-2, 2)), nxt, terminal))
+    return out
+
+
+def assert_weights_match_reference(states, ens, cfg, td, discount, scalar=True):
+    weights = compute_weights(states, ens, cfg, td_context=td, discount=discount)
+    contexts = td if td is not None else [None] * len(states)
+    assert weights.tolist() == [reference_weight(s, ens, cfg, tr, discount)
+                                for s, tr in zip(states, contexts)]
+    if scalar:
+        assert weights.tolist() == [compute_weight(s, ens, cfg, tr, discount)
+                                    for s, tr in zip(states, contexts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 6),
+       s_count=st.integers(1, 12), variant=st.sampled_from(METRIC_VARIANTS),
+       mean_of_squares=st.booleans(), alpha=st.floats(0.0, 2.0),
+       scale=st.sampled_from([1e-6, 1.0, 3.0, 1e6]))
+def test_compute_weights_bit_equal_to_per_state_formula(seed, members, s_count, variant,
+                                                        mean_of_squares, alpha, scale):
+    # ensemble sizes 4..6 give 2M >= 8 values per state, past the size where
+    # numpy's pairwise summation switches to its unrolled blocks
+    rng = make_rng(seed)
+    ens = ValueEnsemble(current=scale * rng.uniform(-1, 1, size=(members, 2, s_count)),
+                        previous=scale * rng.uniform(-1, 1, size=(members, 2, s_count)))
+    cfg = MetricConfig(alpha_bias=alpha, variant=variant,
+                       bias_mean_of_squares=mean_of_squares)
+    states = rng.integers(0, s_count, size=int(rng.integers(0, 2 * s_count + 1))).tolist()
+    td = random_td_contexts(rng, states, s_count) if variant == "td_error" else None
+    assert_weights_match_reference(states, ens, cfg, td, float(rng.uniform(0.1, 1.0)))
+
+
+@pytest.mark.parametrize("members", range(1, 7))
+def test_compute_weights_bit_equal_on_many_states(members):
+    # enough states that the rare values whose square rounds differently
+    # under np.square than under Python's power are sure to occur
+    rng = make_rng(members)
+    s_count = 3000
+    ens = ValueEnsemble(current=rng.uniform(-3, 3, size=(members, 2, s_count)),
+                        previous=rng.uniform(-3, 3, size=(members, 2, s_count)))
+    states = list(range(s_count))
+    for variant in METRIC_VARIANTS:
+        for mean_of_squares in (False, True):
+            cfg = MetricConfig(alpha_bias=0.7, variant=variant,
+                               bias_mean_of_squares=mean_of_squares)
+            td = (random_td_contexts(rng, states, s_count)
+                  if variant == "td_error" else None)
+            assert_weights_match_reference(states, ens, cfg, td, 0.9, scalar=False)
+
+
+def test_compute_weights_checks_td_contexts():
+    ens = ensemble([[[0.0, 0.5], [0.0, 0.5]]])
+    cfg = MetricConfig(variant="td_error")
+    with pytest.raises(ValueError):
+        compute_weights([0, 1], ens, cfg)
+    with pytest.raises(ValueError):
+        compute_weights([0, 1], ens, cfg, td_context=[Transition(1, 0, 0, 0.0, 2, True)] * 2)
+
+
+GRID = make_grid_pursuit(GridPursuitParams(3, 3, 4))  # 288 states
+coordinates = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), dim=st.integers(1, 10),
+       k=st.integers(1, 42))
+def test_fps_keeps_the_reference_greedy_set(data, n, dim, k):
+    # few distinct coordinates and weights make duplicate points and ties
+    points = np.array(data.draw(st.lists(st.lists(coordinates, min_size=dim, max_size=dim),
+                                         min_size=n, max_size=n)))
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 5.0),
+                                          min_size=n, max_size=n)))
+    states = np.array(sorted(data.draw(st.sets(st.integers(0, 10_000), min_size=n, max_size=n))))
+    buf = WeightedStateBuffer(capacity=n, states=states, features=points, weights=weights)
+    expected = (states.tolist() if n <= k
+                else reference_fps_keep(states, points, weights, k))
+    fps_prune(buf, k)
+    assert buf.states.tolist() == expected
+    rows = np.searchsorted(states, buf.states)
+    assert np.array_equal(buf.features, points[rows])
+    assert np.array_equal(buf.weights, weights[rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=st.lists(st.lists(st.tuples(st.integers(0, 287),
+                                           st.sampled_from([0.0, 0.5]) | st.floats(0.0, 10.0)),
+                                 max_size=12), max_size=8))
+def test_buffer_insert_matches_newest_weight_dict(batches):
+    game = GRID
+    buf = WeightedStateBuffer(capacity=64)
+    reference: dict[int, float] = {}
+    for batch in batches:
+        buffer_insert(buf, batch, game)
+        reference.update(batch)
+        assert buf.states.tolist() == sorted(reference)
+        assert buf.weights.tolist() == [reference[s] for s in sorted(reference)]
+        assert buf.features.tolist() == game.features[buf.states].tolist()
+
+
+def test_buffer_insert_is_all_or_nothing():
+    game = make_rps(RpsParams(4))
+    buf = WeightedStateBuffer(capacity=8)
+    buffer_insert(buf, [(0, 1.0)], game)
+    for bad in ([(1, 1.0), (2, float("nan"))], [(1, 1.0), (2, float("inf"))],
+                [(1, 1.0), (4, 1.0)]):
+        with pytest.raises(ValueError):
+            buffer_insert(buf, bad, game)
+        assert buf.states.tolist() == [0]
+
+
+def test_buffer_constructor_validates_members():
+    with pytest.raises(ValueError):
+        WeightedStateBuffer(capacity=2, states=[1, 0], features=[[0.0], [1.0]],
+                            weights=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        WeightedStateBuffer(capacity=2, states=[0, 1], features=[[0.0], [1.0]],
+                            weights=[1.0, -1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.dictionaries(st.integers(0, 287),
+                               st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0), max_size=10),
+       p=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_sampling_table_draws_as_the_per_call_sort(entries, p, seed):
+    game = GRID
+    buf = buffer_insert(WeightedStateBuffer(capacity=32), entries.items(), game)
+    table = SamplingTable.of(buf)
+    cfg = SamplerConfig(p=p)
+    ref_rng, buf_rng, table_rng = make_rng(seed), make_rng(seed), make_rng(seed)
+    for _ in range(20):
+        expected = reference_sample(entries, game, p, ref_rng)
+        assert sample_subgame(buf, game, cfg, buf_rng) == expected
+        assert sample_subgame(table, game, cfg, table_rng) == expected
+    assert table_rng.random() == ref_rng.random()  # the same number of draws
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dim=st.integers(1, 10),
+       coarse=st.booleans())
+def test_pairwise_distances_are_the_norm_rows(seed, n, dim, coarse):
+    feats = make_rng(seed).random((n, dim))
+    if coarse:  # repeated coordinates and points
+        feats = np.round(feats * 2) / 2
+    pairwise = _pairwise_distances(feats)
+    for j in range(n):
+        assert pairwise[j].tolist() == np.linalg.norm(feats - feats[j], axis=1).tolist()

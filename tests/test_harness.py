@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from subgamelab import (ExperimentRecord, LearnerConfig, MetricConfig,
-                        RecordRow, RunConfig, SamplerConfig,
+from subgamelab import (ExperimentRecord, GridPursuitParams, LearnerConfig,
+                        MetricConfig, RecordRow, RunConfig, SamplerConfig,
                         coverage_experiment, joint_action_coverage,
                         parse_config, replicate_fig2, run_experiment,
                         samples_to_converge)
@@ -202,3 +202,25 @@ def test_parse_config_grid_requirements():
     """)
     assert cfg.env_params["grid_horizon"] == 2
     assert cfg.eval_every == 1000  # env-dependent default
+
+
+def test_parse_config_rejects_nan_alpha_bias():
+    with pytest.raises(ValueError, match="key 'alpha_bias': must be finite"):
+        parse_config("env = rps\nrps_n = 2\nmethod = sacl\nalpha_bias = nan\n")
+    with pytest.raises(ValueError, match="alpha_bias"):
+        MetricConfig(alpha_bias=float("nan"))
+
+
+def test_parse_config_rejects_nan_convergence_threshold():
+    with pytest.raises(ValueError, match="key 'convergence_threshold': must be finite"):
+        parse_config("env = rps\nrps_n = 2\nmethod = sacl\nconvergence_threshold = nan\n")
+    with pytest.raises(ValueError, match="convergence_threshold"):
+        rps_config(convergence_threshold=float("nan"))
+
+
+def test_parse_config_rejects_inf_capture_reward():
+    with pytest.raises(ValueError, match="key 'capture_reward': must be finite"):
+        parse_config("env = grid_pursuit\nmethod = sacl\ngrid_width = 2\n"
+                     "grid_height = 2\ngrid_horizon = 2\ncapture_reward = inf\n")
+    with pytest.raises(ValueError, match="capture_reward"):
+        GridPursuitParams(2, 2, 2, capture_reward=float("-inf"))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subgamelab import (LearnerConfig, QTable, RpsParams, RunConfig, Transition,
-                        exploration_policy, make_rng, make_rps, minimax_q_update,
-                        q_error, run_experiment, samples_to_converge, solve_ne,
-                        values_from_q)
+from subgamelab import (GridPursuitParams, Learner, LearnerConfig, QTable, RpsParams,
+                        RunConfig, Transition, exploration_policy, make_grid_pursuit,
+                        make_rng, make_rps, minimax_q_update, q_error, run_experiment,
+                        samples_to_converge, solve_ne, values_from_q)
+from subgamelab import learner as learner_module
 from subgamelab.envs import RPS_WINS
 
 from oracles import support_enumeration_value
@@ -202,3 +205,73 @@ def test_win_pairs_constant_is_consistent():
     game = rps_game()
     for a1, a2 in RPS_WINS:
         assert game.reward1[0, a1, a2] == 1.0
+
+
+def random_transition(game, rng):
+    s = int(rng.integers(0, game.state_count))
+    a1, a2 = (int(a) for a in rng.integers(0, game.action_counts))
+    nxt = int(game.next_states[s, a1, a2, 0])
+    return Transition(s, a1, a2, float(game.reward1[s, a1, a2]), nxt,
+                      nxt == game.terminal_index)
+
+
+GAMES = {"rps3": rps_game(3), "grid": make_grid_pursuit(GridPursuitParams(2, 2, 3))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=st.sampled_from(sorted(GAMES)), seed=st.integers(0, 2**32 - 1),
+       batches=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+       lr=st.sampled_from([1.0, 0.5]), decay=st.sampled_from([None, "visit_count"]))
+def test_values_from_q_refreshes_written_rows_exactly(game, seed, batches, lr, decay):
+    # after each batch, the dirty-mask refresh equals a fresh table's full solve
+    game = GAMES[game]
+    rng = make_rng(seed)
+    q = QTable.zeros(game)
+    cfg = LearnerConfig(lr=lr, lr_decay=decay)
+    for size in batches:
+        batch = [random_transition(game, rng) for _ in range(size)]
+        minimax_q_update(q, batch, cfg, game.discount)
+        fresh = QTable(q.q.copy(), q.visits.copy())
+        assert values_from_q(q).v.tolist() == values_from_q(fresh).v.tolist()
+
+
+def test_values_from_q_returns_a_copy():
+    q = QTable.zeros(rps_game(2))
+    vt = values_from_q(q)
+    vt.v[:] = 5.0
+    assert values_from_q(q).v.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def count_policy_builds(monkeypatch):
+    builds = []
+    original = learner_module.exploration_policy
+
+    def counting(q, cfg):
+        builds.append(cfg.epsilon)
+        return original(q, cfg)
+
+    monkeypatch.setattr(learner_module, "exploration_policy", counting)
+    return builds
+
+
+def test_uniform_exploration_policy_is_built_once(monkeypatch):
+    builds = count_policy_builds(monkeypatch)
+    game = rps_game(3)
+    lr = Learner(game, LearnerConfig(lr=1.0, lr_decay=None, epsilon=1.0), make_rng(0))
+    for _ in range(200):
+        lr.run_episode(0, 10)
+    assert lr.qtable.q.any()  # rows were written, yet the policy stands
+    assert builds == [1.0]
+
+
+def test_mixed_exploration_policy_rebuilt_after_a_write(monkeypatch):
+    builds = count_policy_builds(monkeypatch)
+    game = rps_game(3)
+    cfg = LearnerConfig(lr=1.0, lr_decay=None, epsilon=0.5, batch_size=1)
+    lr = Learner(game, cfg, make_rng(0))
+    episodes = 0
+    while not lr.qtable.q.any():
+        lr.run_episode(0, 10)
+        episodes += 1
+    lr.run_episode(0, 10)  # drawn under the policy rebuilt after the write
+    assert builds == [0.5] * (episodes + 1)
