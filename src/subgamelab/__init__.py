@@ -13,16 +13,15 @@ from .game import (GameSpec, Policy, Rng, Transition, make_rng, rollout,
 from .harness import (ExperimentRecord, RecordRow, RunConfig,
                       coverage_experiment, joint_action_coverage, parse_config,
                       replicate_fig2, run_experiment, samples_to_converge)
-from .learner import (Learner, LearnerConfig, QTable, ValueTable,
-                      exploration_policy, minimax_q_update, q_error,
-                      values_from_q)
+from .learner import (Learner, LearnerConfig, QTable, exploration_policy,
+                      minimax_q_update, q_error, values_from_q)
 from .matrix_game import MatrixSolution, best_response_value, solve
 
 __all__ = [
     "ExperimentRecord", "ExploitabilityReport", "GameSpec", "GridPursuitParams",
     "Learner", "LearnerConfig", "MatrixSolution", "MetricConfig", "NESolution",
     "Policy", "QTable", "RecordRow", "Rng", "RpsParams", "RunConfig",
-    "SamplerConfig", "SamplingTable", "Transition", "ValueEnsemble", "ValueTable",
+    "SamplerConfig", "SamplingTable", "Transition", "ValueEnsemble",
     "WeightedStateBuffer", "best_response", "best_response_value",
     "buffer_insert", "build_env", "compute_weight", "compute_weights",
     "coverage_experiment",

@@ -81,14 +81,35 @@ def cmd_ne_solve(args) -> None:
 
 
 def _load_policy(path: str, game) -> Policy:
+    """Read a JSON policy file: per player, state index -> probability row.
+
+    Each player needs one finite row of its action count for every state;
+    anything else is rejected with a message naming the player and state.
+    """
     with open(path) as fh:
         data = json.load(fh)
     a1, a2 = game.action_counts
+    s_count = game.state_count
 
     def table(key: str, width: int) -> np.ndarray:
-        rows = np.zeros((game.state_count, width))
+        if not isinstance(data, dict) or not isinstance(data.get(key), dict):
+            raise ValueError(f"policy file needs a {key} object of state -> row")
+        rows = np.full((s_count, width), np.nan)  # NaN until a (finite) row is given
         for state, probs in data[key].items():
-            rows[int(state)] = probs
+            if not (state.isdecimal() and int(state) < s_count):
+                raise ValueError(f"{key} state {state!r} is not a state index "
+                                 f"in 0..{s_count - 1}")
+            row = np.asarray(probs, dtype=np.float64)
+            if row.shape != (width,):
+                raise ValueError(f"{key} state {state}: row has shape {row.shape}, "
+                                 f"expected {width} probabilities")
+            if not np.isfinite(row).all():
+                raise ValueError(f"{key} state {state}: row has a NaN or infinite entry")
+            rows[int(state)] = row
+        missing = np.flatnonzero(np.isnan(rows[:, 0]))
+        if missing.size:
+            raise ValueError(f"{key} has no row for state {missing[0]} "
+                             f"({missing.size} of {s_count} states missing)")
         return rows
 
     return Policy(table("player1", a1), table("player2", a2))

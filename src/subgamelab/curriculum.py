@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import GameSpec, Rng, Transition, sample_initial
-from .learner import Learner, ValueTable
+from .learner import Learner
 
 METRIC_VARIANTS = ("full", "uniform", "bias_only", "variance_only", "td_error")
 
@@ -30,15 +30,12 @@ class MetricConfig:
     ``alpha_bias`` scales the bias term in the full variant (this is distinct
     from the learning rate). ``ensemble_size`` is the number of independent
     learners per player whose signed values form the ensemble; the two
-    players already contribute two members each. ``bias_mean_of_squares``
-    switches the bias term from (mean checkpoint difference)^2 to the mean of
-    squared differences, for the ablation-curious.
+    players already contribute two members each.
     """
 
     alpha_bias: float = 1.0
     variant: str = "full"
     ensemble_size: int = 1
-    bias_mean_of_squares: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_bias) and self.alpha_bias >= 0.0):
@@ -81,9 +78,9 @@ class ValueEnsemble:
         object.__setattr__(self, "previous", prev)
 
 
-def signed_values(vt: ValueTable) -> np.ndarray:
-    """Sign-adjust per-player values so both estimate player 1's value."""
-    return np.stack([vt.v[0], -vt.v[1]])
+def signed_values(values: np.ndarray) -> np.ndarray:
+    """Sign-adjust (2, S) per-player values so both estimate player 1's value."""
+    return np.stack([values[0], -values[1]])
 
 
 def _member_rows(values: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -126,12 +123,9 @@ def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
     if cfg.variant == "variance_only":
         return np.var(cur, axis=-1)
     diffs = cur - _member_rows(ens.previous, states)
-    if cfg.bias_mean_of_squares:
-        bias = np.mean(diffs**2, axis=-1)
-    else:
-        # Python's float power (libm pow), not np.square: the two round about
-        # one value in a thousand differently, and trajectories depend on it
-        bias = np.array([m**2 for m in np.mean(diffs, axis=-1).tolist()])
+    # Python's float power (libm pow), not np.square: the two round about
+    # one value in a thousand differently, and trajectories depend on it
+    bias = np.array([m**2 for m in np.mean(diffs, axis=-1).tolist()])
     if cfg.variant == "bias_only":
         return bias
     return cfg.alpha_bias * bias + np.var(cur, axis=-1)

@@ -1,10 +1,14 @@
 """Exact oracles and policy-quality metrics.
 
-Nash equilibria come from value iteration whose backup solves each state's
-stage matrix game; topologically ordered (finite-horizon) games are solved
-exactly in one backward sweep. Best responses against a fixed opponent are
-exact dynamic programs on the induced single-agent decision process, which
-is strictly stronger than a learned approximation at tabular scale.
+Every oracle is one dynamic program, run by a single kernel: build each
+state's stage matrix r + discount * E[v(s')] and reduce it to a value.
+Topologically ordered (finite-horizon) games take one exact backward pass,
+a slice of ``GameSpec.levels`` at a time; other games iterate to tolerance.
+Only the reducer differs: the maximin of the stage game for the Nash
+equilibrium (Shapley 1953), the best row of the stage matrix marginalised
+over a fixed opponent for the exact best response (strictly stronger than a
+learned approximation at tabular scale), and the bilinear form of two fixed
+policies for the matchup value.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ class NESolution:
     """Equilibrium values, Q-values, and policies with the final residual.
 
     ``residual`` is the sup-norm gap between ``v_star`` and one more backup;
-    it is exactly zero on the single-sweep path and at most the stopping
-    tolerance otherwise. A residual above the requested tolerance flags
+    it is exactly zero on a topologically ordered game (one backward pass)
+    and at most the stopping tolerance otherwise. A residual above the requested tolerance flags
     non-convergence within the iteration budget.
     """
 
@@ -36,81 +40,68 @@ class NESolution:
         return self.residual <= tol
 
 
-def _expected_next(game: GameSpec, v1: np.ndarray) -> np.ndarray:
-    """E[V1(s') | s, a] for all pairs; terminal contributes zero."""
-    v_ext = np.append(v1, 0.0)
-    return (game.next_probs * v_ext[game.next_states]).sum(axis=3)
+def _stages(game: GameSpec, reward: np.ndarray, v_ext: np.ndarray, s) -> np.ndarray:
+    """Stage matrices r(s, a) + discount * E[v(s') | s, a] at the states ``s``.
+
+    ``v_ext`` holds one value per state plus a trailing zero for the terminal.
+    """
+    return reward[s] + game.discount * (game.next_probs[s] * v_ext[game.next_states[s]]).sum(-1)
+
+
+def _maximin(stages: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """Shapley's backup: stage-game values, and row and column strategies side by side."""
+    sols = [solve(stage) for stage in stages]
+    return (np.array([sol.value for sol in sols]),
+            np.array([np.concatenate((sol.row_strategy, sol.col_strategy)) for sol in sols]))
+
+
+def _sweep(game: GameSpec, reward: np.ndarray, reduce, tol: float, max_iters: int):
+    """The dynamic program whose backup applies ``reduce`` to stage matrices.
+
+    ``reduce(stages, s)`` maps the stage matrices of the states ``s`` (a
+    slice) to their values and a per-state auxiliary array. A topologically
+    ordered game takes one exact backward pass, one ``reduce`` call per
+    slice of ``game.levels``. Otherwise Jacobi sweeps over all states run
+    until the sup-norm change falls below ``tol`` or ``max_iters`` is spent,
+    and one more sweep at the final values gives the stages, the auxiliary
+    array and the residual. Returns (v, stages, aux, residual).
+    """
+    v_ext = np.zeros(game.state_count + 1)
+    v = v_ext[:-1]
+    if game.levels is not None:
+        stages = np.empty(reward.shape)
+        parts = []
+        for s in game.levels:
+            stages[s] = _stages(game, reward, v_ext, s)
+            v[s], aux = reduce(stages[s], s)
+            parts.append(aux)
+        return v, stages, np.concatenate(parts[::-1]), 0.0
+    every = slice(None)
+    for _ in range(max_iters):
+        v_next, _ = reduce(_stages(game, reward, v_ext, every), every)
+        change = float(np.abs(v_next - v).max())
+        v[:] = v_next
+        if change < tol:
+            break
+    stages = _stages(game, reward, v_ext, every)
+    values, aux = reduce(stages, every)
+    return v, stages, aux, float(np.abs(values - v).max())
 
 
 def shapley_backup(game: GameSpec, v1: np.ndarray) -> np.ndarray:
     """One value-iteration sweep for player 1: maximin of each stage matrix."""
-    q1 = game.reward1 + game.discount * _expected_next(game, v1)
-    return np.array([solve(q1[s]).value for s in range(game.state_count)])
-
-
-def _solve_stages(game: GameSpec, v1: np.ndarray):
-    """Stage solutions for the Q induced by ``v1``; returns (q1, values, p1, p2)."""
-    a1, a2 = game.action_counts
-    q1 = game.reward1 + game.discount * _expected_next(game, v1)
-    values = np.empty(game.state_count)
-    p1 = np.empty((game.state_count, a1))
-    p2 = np.empty((game.state_count, a2))
-    for s in range(game.state_count):
-        sol = solve(q1[s])
-        values[s] = sol.value
-        p1[s] = sol.row_strategy
-        p2[s] = sol.col_strategy
-    return q1, values, p1, p2
+    return _maximin(_stages(game, game.reward1, np.append(v1, 0.0), slice(None)), None)[0]
 
 
 def solve_ne(game: GameSpec, tol: float = 1e-10, max_iters: int = 100_000) -> NESolution:
     """Equilibrium of the full Markov game by stage-wise value iteration."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    s_count = game.state_count
-    if game.is_topologically_ordered:
-        # One backward sweep is exact: successors are already final.
-        a1, a2 = game.action_counts
-        v1 = np.zeros(s_count)
-        v_ext = np.zeros(s_count + 1)
-        q1 = np.empty((s_count, a1, a2))
-        p1 = np.empty((s_count, a1))
-        p2 = np.empty((s_count, a2))
-        for s in range(s_count - 1, -1, -1):
-            ev = (game.next_probs[s] * v_ext[game.next_states[s]]).sum(axis=2)
-            q1[s] = game.reward1[s] + game.discount * ev
-            sol = solve(q1[s])
-            v1[s] = sol.value
-            p1[s] = sol.row_strategy
-            p2[s] = sol.col_strategy
-            v_ext[s] = sol.value
-        residual = 0.0
-    else:
-        v1 = np.zeros(s_count)
-        for _ in range(max_iters):
-            v_next = shapley_backup(game, v1)
-            change = float(np.abs(v_next - v1).max())
-            v1 = v_next
-            if change < tol:
-                break
-        q1, values, p1, p2 = _solve_stages(game, v1)
-        residual = float(np.abs(values - v1).max())
+    v1, q1, strategies, residual = _sweep(game, game.reward1, _maximin, tol, max_iters)
+    a1 = game.action_counts[0]
     v_star = np.stack([v1, -v1])
     q_star = np.stack([q1, -q1])
-    return NESolution(v_star, q_star, Policy(p1, p2), residual)
-
-
-def _marginal_backup(game: GameSpec, opponent: np.ndarray, player: int,
-                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One sweep of the induced single-agent problem; returns (new v, q)."""
-    reward = game.reward1 if player == 0 else -game.reward1
-    ev = _expected_next(game, v)
-    stage = reward + game.discount * ev
-    if player == 0:
-        q = np.einsum("sab,sb->sa", stage, opponent)
-    else:
-        q = np.einsum("sab,sa->sb", stage, opponent)
-    return q.max(axis=1), q
+    return NESolution(v_star, q_star, Policy(strategies[:, :a1], strategies[:, a1:]), residual)
 
 
 def best_response(game: GameSpec, opponent: np.ndarray, player: int,
@@ -123,33 +114,22 @@ def best_response(game: GameSpec, opponent: np.ndarray, player: int,
     """
     if player not in (0, 1):
         raise ValueError("player must be 0 or 1")
-    own_actions = game.action_counts[player]
-    opp_actions = game.action_counts[1 - player]
     opponent = np.asarray(opponent, dtype=np.float64)
-    if opponent.shape != (game.state_count, opp_actions):
+    if opponent.shape != (game.state_count, game.action_counts[1 - player]):
         raise ValueError("opponent policy does not cover this game")
-    s_count = game.state_count
-    if game.is_topologically_ordered:
-        reward = game.reward1 if player == 0 else -game.reward1
-        v_ext = np.zeros(s_count + 1)
-        q = np.empty((s_count, own_actions))
-        for s in range(s_count - 1, -1, -1):
-            ev = (game.next_probs[s] * v_ext[game.next_states[s]]).sum(axis=2)
-            stage = reward[s] + game.discount * ev
-            row = stage @ opponent[s] if player == 0 else opponent[s] @ stage
-            q[s] = row
-            v_ext[s] = row.max()
-        v = v_ext[:s_count]
-    else:
-        v = np.zeros(s_count)
-        for _ in range(max_iters):
-            v_next, q = _marginal_backup(game, opponent, player, v)
-            change = float(np.abs(v_next - v).max())
-            v = v_next
-            if change < tol:
-                break
-    policy = np.zeros((s_count, own_actions))
-    policy[np.arange(s_count), q.argmax(axis=1)] = 1.0
+
+    def reply(stages, s):
+        # the stage matrix marginalised over the opponent's mixture
+        if player == 0:
+            rows = (stages @ opponent[s, :, None])[:, :, 0]
+        else:
+            rows = (opponent[s, None, :] @ stages)[:, 0, :]
+        return rows.max(axis=1), rows
+
+    reward = game.reward1 if player == 0 else -game.reward1
+    v, _, rows, _ = _sweep(game, reward, reply, tol, max_iters)
+    policy = np.zeros(rows.shape)
+    policy[np.arange(game.state_count), rows.argmax(axis=1)] = 1.0
     return policy, float(game.initial_dist @ v)
 
 
@@ -191,24 +171,12 @@ def matchup_value(game: GameSpec, p1: np.ndarray, p2: np.ndarray,
                   tol: float = 1e-12, max_iters: int = 100_000) -> float:
     """Exact expected return of player 1 when both policies are fixed."""
     joint = Policy(p1, p2)  # validates shapes and rows
-    s_count = game.state_count
-    if game.is_topologically_ordered:
-        v_ext = np.zeros(s_count + 1)
-        for s in range(s_count - 1, -1, -1):
-            ev = (game.next_probs[s] * v_ext[game.next_states[s]]).sum(axis=2)
-            stage = game.reward1[s] + game.discount * ev
-            v_ext[s] = joint.p1[s] @ stage @ joint.p2[s]
-        v = v_ext[:s_count]
-    else:
-        v = np.zeros(s_count)
-        for _ in range(max_iters):
-            ev = _expected_next(game, v)
-            stage = game.reward1 + game.discount * ev
-            v_next = np.einsum("sa,sab,sb->s", joint.p1, stage, joint.p2)
-            change = float(np.abs(v_next - v).max())
-            v = v_next
-            if change < tol:
-                break
+
+    def bilinear(stages, s):
+        v = (joint.p1[s, None, :] @ stages @ joint.p2[s, :, None])[:, 0, 0]
+        return v, v  # no auxiliary output; the values stand in
+
+    v, _, _, _ = _sweep(game, game.reward1, bilinear, tol, max_iters)
     return float(game.initial_dist @ v)
 
 

@@ -37,8 +37,8 @@ class GameSpec:
     ``features`` gives each state a fixed-length vector, pre-scaled so every
     dimension lies in [0, 1]; buffer pruning measures Euclidean distance on it.
     Finite-horizon games must encode the timestep in the state index so that
-    transitions only move to strictly larger indices (checked lazily via
-    ``is_topologically_ordered``).
+    transitions only move to strictly larger indices (checked lazily by
+    ``levels``).
     """
 
     next_states: np.ndarray  # (S, A1, A2, K) int64, entries in [0, S]
@@ -106,19 +106,32 @@ class GameSpec:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def feature_of(self, state: int) -> np.ndarray:
-        return self.features[state]
+    @cached_property
+    def levels(self) -> list[slice] | None:
+        """Batches of an exact backward pass, or None for a cyclic game.
+
+        A game is topologically ordered when every positive-probability
+        successor has a larger index; it is then acyclic, and one backward
+        pass of any dynamic program over the state index is exact. The
+        batches are contiguous index slices from the top index down; every
+        live successor of a state in a slice lies at or above the slice's stop.
+        """
+        live = np.where(self.next_probs > 0.0, self.next_states, self.state_count)
+        lowest = live.min(axis=(1, 2, 3))
+        if np.any(lowest <= np.arange(self.state_count)):
+            return None
+        floor = np.minimum.accumulate(lowest[::-1])[::-1]  # non-decreasing
+        out = []
+        hi = self.state_count
+        while hi > 0:
+            lo = int(np.searchsorted(floor, hi))
+            out.append(slice(lo, hi))
+            hi = lo
+        return out
 
     @cached_property
-    def is_topologically_ordered(self) -> bool:
-        """True when every positive-probability successor has a larger index.
-
-        Such games are acyclic, so a single backward sweep of any dynamic
-        program over the state index is exact.
-        """
-        here = np.arange(self.state_count).reshape(-1, 1, 1, 1)
-        live = self.next_probs > 0.0
-        return bool(np.all((self.next_states > here) | ~live))
+    def initial_cdf(self) -> np.ndarray:
+        return np.cumsum(self.initial_dist)
 
     @classmethod
     def from_dense(cls, transition: np.ndarray, reward1: np.ndarray,
@@ -181,6 +194,11 @@ class Policy:
         if self.p1.shape[0] != self.p2.shape[0]:
             raise ValueError("p1 and p2 must cover the same states")
 
+    @cached_property
+    def row_cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative sums of each player's rows, for inverse-CDF draws."""
+        return np.cumsum(self.p1, axis=1), np.cumsum(self.p2, axis=1)
+
 
 def uniform_policy(game: GameSpec) -> Policy:
     a1, a2 = game.action_counts
@@ -220,7 +238,7 @@ def _draw(cum: np.ndarray, rng: Rng) -> int:
 
 def sample_initial(game: GameSpec, rng: Rng) -> int:
     """Draw a start state from the game's initial distribution."""
-    return _draw(np.cumsum(game.initial_dist), rng)
+    return _draw(game.initial_cdf, rng)
 
 
 def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng,
@@ -238,8 +256,7 @@ def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng,
         raise ValueError(f"rollout start {s0} out of range")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    cum1 = np.cumsum(policy.p1, axis=1)
-    cum2 = np.cumsum(policy.p2, axis=1)
+    cum1, cum2 = policy.row_cdfs
     deterministic = game.next_states.shape[3] == 1
     terminal_idx = game.terminal_index
     traj: list[Transition] = []

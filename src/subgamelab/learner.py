@@ -101,13 +101,6 @@ class QTable:
         self._dirty[state] = True
 
 
-@dataclass
-class ValueTable:
-    """Per-player maximin state values."""
-
-    v: np.ndarray  # (2, S)
-
-
 def _effective_lr(cfg: LearnerConfig, prior_visits: int) -> float:
     if cfg.lr_decay is None:
         return cfg.lr
@@ -161,17 +154,17 @@ def exploration_policy(q: QTable, cfg: LearnerConfig) -> Policy:
     return Policy(p1, p2)
 
 
-def values_from_q(q: QTable) -> ValueTable:
+def values_from_q(q: QTable) -> np.ndarray:
     """Each player's maximin value of its current stage matrix, per state.
 
-    Only rows invalidated since the last call are re-solved; the returned
-    table is a copy.
+    Returns a (2, S) copy; only rows invalidated since the last call are
+    re-solved.
     """
     for s in np.flatnonzero(q._dirty).tolist():
         q._values[0, s] = q.stage_value(0, s)
         q._values[1, s] = q.stage_value(1, s)
     q._dirty[:] = False
-    return ValueTable(q._values.copy())
+    return q._values.copy()
 
 
 def q_error(q: QTable, oracle) -> float:
@@ -201,7 +194,7 @@ class Learner:
     def greedy_policy(self) -> Policy:
         return exploration_policy(self.qtable, replace(self.cfg, epsilon=0.0))
 
-    def values(self) -> ValueTable:
+    def values(self) -> np.ndarray:
         return values_from_q(self.qtable)
 
     def run_episode(self, s0: int, max_steps: int) -> list[Transition]:

@@ -69,7 +69,7 @@ def tree_maximin_values(game: GameSpec) -> np.ndarray:
     Every node's stage matrix is solved by support enumeration, keeping this
     path fully independent of the package's simplex.
     """
-    assert game.is_topologically_ordered
+    assert game.levels is not None
     s_count = game.state_count
     v_ext = np.zeros(s_count + 1)
     for s in range(s_count - 1, -1, -1):
@@ -94,3 +94,39 @@ def random_game(rng, states=4, a1=2, a2=3, gamma=0.9, branching=2) -> GameSpec:
     rho /= rho.sum()
     features = rng.random((states, 2))
     return GameSpec.from_dense(dense, reward1, gamma, rho, features=features)
+
+
+def random_acyclic_game(rng, states=5, a1=2, a2=2, support=2, gamma=0.9) -> GameSpec:
+    """A random stochastic game whose live successors all lie above each state.
+
+    Each (state, action pair) draws ``support`` successors from the states
+    above it and the terminal. With two or more, a slot may get probability
+    zero and any index, even a lower one, which must not count as an edge.
+    """
+    shape = (states, a1, a2, support)
+    next_states = np.empty(shape, dtype=np.int64)
+    for s in range(states):
+        next_states[s] = rng.integers(s + 1, states + 1, size=shape[1:])
+    next_probs = rng.dirichlet(np.ones(support), size=shape[:3])
+    if support > 1:
+        dead = rng.random(shape[:3]) < 0.3
+        next_states[..., 0][dead] = rng.integers(0, states + 1, size=int(dead.sum()))
+        next_probs[..., 1][dead] += next_probs[..., 0][dead]
+        next_probs[..., 0][dead] = 0.0
+    reward1 = rng.uniform(-1.0, 1.0, size=shape[:3])
+    rho = rng.random(states) + 0.1
+    return GameSpec(next_states, next_probs, reward1, gamma, rho / rho.sum(),
+                    rng.random((states, 2)))
+
+
+def dense_matchup_values(game: GameSpec, p1, p2) -> np.ndarray:
+    """Player 1's state values under a fixed joint policy: (I - gamma P)^-1 r."""
+    s_count = game.state_count
+    joint = np.einsum("sa,sb->sab", p1, p2)
+    transition = np.zeros((s_count, s_count + 1))
+    for s in range(s_count):
+        np.add.at(transition[s], game.next_states[s].ravel(),
+                  (joint[s][..., None] * game.next_probs[s]).ravel())
+    reward = (joint * game.reward1).sum(axis=(1, 2))
+    lhs = np.eye(s_count) - game.discount * transition[:, :s_count]
+    return np.linalg.solve(lhs, reward)

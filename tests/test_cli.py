@@ -45,6 +45,26 @@ def test_exploitability_policy_file(tmp_path, capsys):
     assert out["total"] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
+UNIFORM = [1.0 / 3.0] * 3
+
+
+@pytest.mark.parametrize("player1, message", [
+    ({"0": UNIFORM}, "player1 has no row for state 1"),
+    ({"0": UNIFORM, "1": UNIFORM, "2": UNIFORM}, "player1 state '2' is not a state index"),
+    ({"0": UNIFORM, "1": UNIFORM, "-1": UNIFORM}, "player1 state '-1' is not a state index"),
+    ({"0": UNIFORM, "1.0": UNIFORM}, r"player1 state '1\.0' is not a state index"),
+    ({"0": UNIFORM, "1": [0.5, 0.5]}, "player1 state 1: row has shape"),
+    ({"0": [float("nan"), 0.5, 0.5], "1": UNIFORM}, "player1 state 0: row has a NaN"),
+    ({"0": UNIFORM, "1": [float("inf"), 0.0, 0.0]}, "player1 state 1: row has a NaN or infinite"),
+], ids=["missing", "out_of_range", "negative", "non_integer", "wrong_length", "nan", "inf"])
+def test_exploitability_rejects_bad_policy_file(tmp_path, capsys, player1, message):
+    policy = {"player1": player1, "player2": {"0": UNIFORM, "1": UNIFORM}}
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy))
+    with pytest.raises(ValueError, match=message):
+        run_cli(capsys, "exploitability", "--env", "rps", "--n", "2", "--policy", str(path))
+
+
 def test_coverage_subcommand(capsys):
     out = json.loads(run_cli(capsys, "coverage", "--n", "2", "--seeds", "50"))
     assert out["mean_samples"] == pytest.approx(3.0, abs=1.0)

@@ -40,12 +40,6 @@ def test_weight_hand_computed_example():
     assert compute_weight(0, ens, MetricConfig(variant="uniform")) == 1.0
 
 
-def test_weight_bias_mean_of_squares_toggle():
-    ens = ensemble([[[0.5], [0.1]]], [[[0.3], [0.1]]])
-    cfg = MetricConfig(alpha_bias=1.0, variant="bias_only", bias_mean_of_squares=True)
-    assert compute_weight(0, ens, cfg) == pytest.approx(0.02, abs=1e-12)  # (0.04+0)/2
-
-
 def test_weight_td_error_variant():
     ens = ensemble([[[0.0, 1.0 / 3.0], [0.0, 1.0 / 3.0]]])
     cfg = MetricConfig(variant="td_error")
@@ -274,8 +268,8 @@ def test_signed_values_orientation():
     vt = learners[0].values()
     signed = signed_values(vt)
     assert signed.shape == (2, 1)
-    np.testing.assert_array_equal(signed[0], vt.v[0])
-    np.testing.assert_array_equal(signed[1], -vt.v[1])
+    np.testing.assert_array_equal(signed[0], vt[0])
+    np.testing.assert_array_equal(signed[1], -vt[1])
 
 
 @pytest.mark.parametrize("variant", ["full", "uniform", "bias_only",
@@ -320,11 +314,7 @@ def reference_weight(state, ens, cfg, td_context=None, discount=1.0):
     prev = ens.previous[:, :, state].ravel()
     if cfg.variant == "variance_only":
         return float(np.var(cur))
-    diffs = cur - prev
-    if cfg.bias_mean_of_squares:
-        bias = float(np.mean(diffs**2))
-    else:
-        bias = float(np.mean(diffs)) ** 2
+    bias = float(np.mean(cur - prev)) ** 2
     if cfg.variant == "bias_only":
         return bias
     return cfg.alpha_bias * bias + float(np.var(cur))
@@ -377,17 +367,16 @@ def assert_weights_match_reference(states, ens, cfg, td, discount, scalar=True):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 6),
        s_count=st.integers(1, 12), variant=st.sampled_from(METRIC_VARIANTS),
-       mean_of_squares=st.booleans(), alpha=st.floats(0.0, 2.0),
+       alpha=st.floats(0.0, 2.0),
        scale=st.sampled_from([1e-6, 1.0, 3.0, 1e6]))
 def test_compute_weights_bit_equal_to_per_state_formula(seed, members, s_count, variant,
-                                                        mean_of_squares, alpha, scale):
+                                                        alpha, scale):
     # ensemble sizes 4..6 give 2M >= 8 values per state, past the size where
     # numpy's pairwise summation switches to its unrolled blocks
     rng = make_rng(seed)
     ens = ValueEnsemble(current=scale * rng.uniform(-1, 1, size=(members, 2, s_count)),
                         previous=scale * rng.uniform(-1, 1, size=(members, 2, s_count)))
-    cfg = MetricConfig(alpha_bias=alpha, variant=variant,
-                       bias_mean_of_squares=mean_of_squares)
+    cfg = MetricConfig(alpha_bias=alpha, variant=variant)
     states = rng.integers(0, s_count, size=int(rng.integers(0, 2 * s_count + 1))).tolist()
     td = random_td_contexts(rng, states, s_count) if variant == "td_error" else None
     assert_weights_match_reference(states, ens, cfg, td, float(rng.uniform(0.1, 1.0)))
@@ -403,12 +392,9 @@ def test_compute_weights_bit_equal_on_many_states(members):
                         previous=rng.uniform(-3, 3, size=(members, 2, s_count)))
     states = list(range(s_count))
     for variant in METRIC_VARIANTS:
-        for mean_of_squares in (False, True):
-            cfg = MetricConfig(alpha_bias=0.7, variant=variant,
-                               bias_mean_of_squares=mean_of_squares)
-            td = (random_td_contexts(rng, states, s_count)
-                  if variant == "td_error" else None)
-            assert_weights_match_reference(states, ens, cfg, td, 0.9, scalar=False)
+        cfg = MetricConfig(alpha_bias=0.7, variant=variant)
+        td = random_td_contexts(rng, states, s_count) if variant == "td_error" else None
+        assert_weights_match_reference(states, ens, cfg, td, 0.9, scalar=False)
 
 
 def test_compute_weights_checks_td_contexts():

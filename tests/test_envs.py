@@ -93,7 +93,7 @@ def test_grid_zero_sum_and_acyclic():
     game = make_grid_pursuit(GridPursuitParams(2, 2, 3))
     # only player 1's reward is stored; the other side is defined as its negation
     assert np.isfinite(game.reward1).all()
-    assert game.is_topologically_ordered
+    assert game.levels is not None
     assert game.state_count == 12 * 3
     assert game.horizon == 3
 

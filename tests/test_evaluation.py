@@ -2,13 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgamelab import (GameSpec, GridPursuitParams, Policy, RpsParams,
                         best_response, evaluate_matchup, exploitability,
                         make_grid_pursuit, make_rng, make_rps, matchup_value,
                         oracle_weight, shapley_backup, solve_ne, uniform_policy)
 
-from oracles import random_game, tree_maximin_values
+from oracles import (dense_matchup_values, random_acyclic_game, random_game,
+                     tree_maximin_values)
 
 ROCK_ONLY = np.array([[1.0, 0.0, 0.0]])
 
@@ -190,3 +193,44 @@ def test_monte_carlo_matchup_close_to_dp():
     sampled = evaluate_matchup(game, policy.p1, policy.p2, episodes=20_000,
                                rng=make_rng(8))
     assert sampled == pytest.approx(1.0 / 3.0, abs=0.02)
+
+
+def random_joint(rng, game):
+    a1, a2 = game.action_counts
+    p1 = rng.random((game.state_count, a1)) + 0.05
+    p2 = rng.random((game.state_count, a2)) + 0.05
+    return p1 / p1.sum(1, keepdims=True), p2 / p2.sum(1, keepdims=True)
+
+
+def assert_policies_earn_their_values(game, ne, p1, p2):
+    # each returned policy earns the returned value against its fixed opponent
+    assert exploitability(game, ne.ne_policy).total == pytest.approx(0.0, abs=1e-9)
+    br1, value1 = best_response(game, p2, player=0)
+    br2, value2 = best_response(game, p1, player=1)
+    assert value1 == pytest.approx(matchup_value(game, br1, p2), abs=1e-9)
+    assert value2 == pytest.approx(-matchup_value(game, p1, br2), abs=1e-9)
+    expected = game.initial_dist @ dense_matchup_values(game, p1, p2)
+    assert matchup_value(game, p1, p2) == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 7),
+       a1=st.integers(1, 3), a2=st.integers(1, 3), support=st.integers(2, 3),
+       gamma=st.sampled_from([0.5, 0.9, 1.0]))
+def test_acyclic_kernel_matches_independent_oracles(seed, states, a1, a2, support, gamma):
+    # one backward pass over the level slices equals the tree recursion for
+    # the equilibrium and a dense linear solve for a fixed joint policy
+    rng = make_rng(seed)
+    game = random_acyclic_game(rng, states, a1, a2, support, gamma)
+    ne = solve_ne(game)
+    assert ne.residual == 0.0
+    np.testing.assert_allclose(ne.v_star[0], tree_maximin_values(game), atol=1e-9)
+    assert_policies_earn_their_values(game, ne, *random_joint(rng, game))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cyclic_kernel_policies_earn_their_values(seed):
+    rng = make_rng(100 + seed)
+    game = random_game(rng, states=6, a1=3, a2=2, gamma=0.9, branching=3)
+    assert game.levels is None
+    assert_policies_earn_their_values(game, solve_ne(game), *random_joint(rng, game))

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgamelab import (GameSpec, Policy, RpsParams, make_rng, make_rps,
                         rollout, sample_initial, solve_ne, subgame_of,
                         uniform_policy)
 
-from oracles import tree_maximin_values
+from oracles import random_acyclic_game, random_game, tree_maximin_values
 
 
 def two_state_chain():
@@ -151,3 +153,25 @@ def test_policy_validation():
         Policy(np.array([[0.5, 0.4]]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         Policy(np.array([[1.1, -0.1]]), np.array([[1.0]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 30),
+       support=st.integers(1, 3))
+def test_levels_partition_states_below_their_successors(seed, states, support):
+    game = random_acyclic_game(make_rng(seed), states, 2, 2, support)
+    levels = game.levels
+    assert sorted(i for s in levels for i in range(game.state_count)[s]) == list(
+        range(game.state_count))
+    assert levels[0].stop == game.state_count and levels[-1].start == 0
+    for upper, lower in zip(levels, levels[1:]):
+        assert lower.stop == upper.start
+    for s in levels:
+        live = game.next_probs[s] > 0.0
+        assert (game.next_states[s][live] >= s.stop).all()
+
+
+def test_levels_of_built_in_and_cyclic_games():
+    assert make_rps(RpsParams(3)).levels == [slice(2, 3), slice(1, 2), slice(0, 1)]
+    assert looping_rps1().levels is None
+    assert random_game(make_rng(2), states=5).levels is None

@@ -107,13 +107,13 @@ def test_exploration_policy_mixture_frequencies():
 
 def test_values_from_q_zero_and_exact():
     game = rps_game()
-    assert values_from_q(QTable.zeros(game)).v.tolist() == [[0.0], [0.0]]
+    assert values_from_q(QTable.zeros(game)).tolist() == [[0.0], [0.0]]
     oracle = solve_ne(game)
     q = QTable.zeros(game)
     q.q[:] = oracle.q_star
     vt = values_from_q(q)
-    assert vt.v[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert vt.v[1, 0] == pytest.approx(-1.0 / 3.0, abs=1e-9)
+    assert vt[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert vt[1, 0] == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
 
 def test_values_from_q_matches_support_enumeration():
@@ -124,9 +124,9 @@ def test_values_from_q_matches_support_enumeration():
     vt = values_from_q(q)
     for s in range(2):
         expected, _, _ = support_enumeration_value(q.q[0, s])
-        assert vt.v[0, s] == pytest.approx(expected, abs=1e-8)
+        assert vt[0, s] == pytest.approx(expected, abs=1e-8)
         expected2, _, _ = support_enumeration_value(q.q[1, s].T)
-        assert vt.v[1, s] == pytest.approx(expected2, abs=1e-8)
+        assert vt[1, s] == pytest.approx(expected2, abs=1e-8)
 
 
 def test_q_error_against_rps2_oracle():
@@ -232,14 +232,14 @@ def test_values_from_q_refreshes_written_rows_exactly(game, seed, batches, lr, d
         batch = [random_transition(game, rng) for _ in range(size)]
         minimax_q_update(q, batch, cfg, game.discount)
         fresh = QTable(q.q.copy(), q.visits.copy())
-        assert values_from_q(q).v.tolist() == values_from_q(fresh).v.tolist()
+        assert values_from_q(q).tolist() == values_from_q(fresh).tolist()
 
 
 def test_values_from_q_returns_a_copy():
     q = QTable.zeros(rps_game(2))
     vt = values_from_q(q)
-    vt.v[:] = 5.0
-    assert values_from_q(q).v.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    vt[:] = 5.0
+    assert values_from_q(q).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def count_policy_builds(monkeypatch):
