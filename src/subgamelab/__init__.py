@@ -15,7 +15,7 @@ from .harness import (ExperimentRecord, RecordRow, RunConfig,
                       replicate_fig2, run_experiment, samples_to_converge)
 from .learner import (Learner, LearnerConfig, QTable, exploration_policy,
                       minimax_q_update, q_error, values_from_q)
-from .matrix_game import MatrixSolution, best_response_value, solve
+from .matrix_game import MatrixSolution, best_response_value, solve, solve_stack
 
 __all__ = [
     "ExperimentRecord", "ExploitabilityReport", "GameSpec", "GridPursuitParams",
@@ -30,6 +30,7 @@ __all__ = [
     "make_rng", "make_rps", "matchup_value", "minimax_q_update", "oracle_weight",
     "parse_config", "q_error", "random_prune", "replicate_fig2", "rollout",
     "run_experiment", "sample_initial", "sample_subgame", "samples_to_converge",
-    "shapley_backup", "signed_values", "solve", "solve_ne", "subgame_of",
+    "shapley_backup", "signed_values", "solve", "solve_ne", "solve_stack",
+    "subgame_of",
     "uniform_policy", "values_from_q",
 ]

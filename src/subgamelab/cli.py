@@ -11,7 +11,7 @@ import numpy as np
 from . import harness
 from .envs import build_env
 from .evaluation import exploitability, solve_ne
-from .game import Policy
+from .game import _PROB_TOL, Policy
 from .matrix_game import solve
 
 
@@ -83,8 +83,9 @@ def cmd_ne_solve(args) -> None:
 def _load_policy(path: str, game) -> Policy:
     """Read a JSON policy file: per player, state index -> probability row.
 
-    Each player needs one finite row of its action count for every state;
-    anything else is rejected with a message naming the player and state.
+    Each player needs one probability row (finite, non-negative, summing to
+    1) of its action count for every state; anything else is rejected with a
+    message naming the player and state.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -105,6 +106,10 @@ def _load_policy(path: str, game) -> Policy:
                                  f"expected {width} probabilities")
             if not np.isfinite(row).all():
                 raise ValueError(f"{key} state {state}: row has a NaN or infinite entry")
+            if row.min() < 0.0:
+                raise ValueError(f"{key} state {state}: row has a negative entry")
+            if abs(row.sum() - 1.0) > _PROB_TOL:
+                raise ValueError(f"{key} state {state}: row sums to {float(row.sum())}, not 1")
             rows[int(state)] = row
         missing = np.flatnonzero(np.isnan(rows[:, 0]))
         if missing.size:

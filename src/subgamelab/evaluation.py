@@ -5,10 +5,11 @@ state's stage matrix r + discount * E[v(s')] and reduce it to a value.
 Topologically ordered (finite-horizon) games take one exact backward pass,
 a slice of ``GameSpec.levels`` at a time; other games iterate to tolerance.
 Only the reducer differs: the maximin of the stage game for the Nash
-equilibrium (Shapley 1953), the best row of the stage matrix marginalised
-over a fixed opponent for the exact best response (strictly stronger than a
-learned approximation at tabular scale), and the bilinear form of two fixed
-policies for the matchup value.
+equilibrium (Shapley 1953), solved by one ``solve_stack`` call for all the
+stage games of a slice or a sweep; the best row of the stage matrix
+marginalised over a fixed opponent for the exact best response (strictly
+stronger than a learned approximation at tabular scale); and the bilinear
+form of two fixed policies for the matchup value.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, Policy, Rng, rollout, sample_initial
-from .matrix_game import solve
+from .matrix_game import solve_stack
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,8 @@ def _stages(game: GameSpec, reward: np.ndarray, v_ext: np.ndarray, s) -> np.ndar
 
 def _maximin(stages: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     """Shapley's backup: stage-game values, and row and column strategies side by side."""
-    sols = [solve(stage) for stage in stages]
-    return (np.array([sol.value for sol in sols]),
-            np.array([np.concatenate((sol.row_strategy, sol.col_strategy)) for sol in sols]))
+    values, p, q = solve_stack(stages)
+    return values, np.concatenate((p, q), axis=1)
 
 
 def _sweep(game: GameSpec, reward: np.ndarray, reduce, tol: float, max_iters: int):

@@ -2,14 +2,16 @@
 
 Nothing here shares code with the package's solvers: matrix games are solved
 by exhaustive support enumeration, and Markov games by recursing over the
-game tree with that enumerator at every node.
+game tree with that enumerator at every node. The one exception is
+``per_state_value_iteration``, which keeps the equilibrium dynamic program
+with one ``solve`` call per state as the reference for the stacked kernel.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from subgamelab import GameSpec
+from subgamelab import GameSpec, solve
 
 
 def support_enumeration_value(payoff, tol=1e-9):
@@ -130,3 +132,47 @@ def dense_matchup_values(game: GameSpec, p1, p2) -> np.ndarray:
     reward = (joint * game.reward1).sum(axis=(1, 2))
     lhs = np.eye(s_count) - game.discount * transition[:, :s_count]
     return np.linalg.solve(lhs, reward)
+
+
+def per_state_value_iteration(game: GameSpec, tol=1e-10, max_iters=100_000):
+    """``solve_ne``'s dynamic program with each state's stage game solved alone.
+
+    A topologically ordered game takes one backward pass, state by state from
+    the top index; any other game takes Jacobi sweeps until the sup-norm
+    change falls below ``tol``, then one more sweep at the final values.
+    Returns player 1's values and stage matrices, both players' strategies
+    and the residual.
+    """
+    s_count = game.state_count
+    a1 = game.action_counts[0]
+    v_ext = np.zeros(s_count + 1)
+
+    def stage(s):
+        ev = (game.next_probs[s] * v_ext[game.next_states[s]]).sum(-1)
+        return game.reward1[s] + game.discount * ev
+
+    def sweep():
+        stages = np.array([stage(s) for s in range(s_count)])
+        sols = [solve(a) for a in stages]
+        return (stages, np.array([sol.value for sol in sols]),
+                np.array([np.concatenate((sol.row_strategy, sol.col_strategy)) for sol in sols]))
+
+    if game.levels is not None:
+        stages = np.empty(game.reward1.shape)
+        strategies = np.empty((s_count, sum(game.action_counts)))
+        for s in range(s_count - 1, -1, -1):
+            stages[s] = stage(s)
+            sol = solve(stages[s])
+            v_ext[s] = sol.value
+            strategies[s] = np.concatenate((sol.row_strategy, sol.col_strategy))
+        residual = 0.0
+    else:
+        for _ in range(max_iters):
+            _, values, _ = sweep()
+            change = float(np.abs(values - v_ext[:-1]).max())
+            v_ext[:-1] = values
+            if change < tol:
+                break
+        stages, values, strategies = sweep()
+        residual = float(np.abs(values - v_ext[:-1]).max())
+    return v_ext[:-1], stages, strategies[:, :a1], strategies[:, a1:], residual

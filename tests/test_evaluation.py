@@ -10,8 +10,8 @@ from subgamelab import (GameSpec, GridPursuitParams, Policy, RpsParams,
                         make_grid_pursuit, make_rng, make_rps, matchup_value,
                         oracle_weight, shapley_backup, solve_ne, uniform_policy)
 
-from oracles import (dense_matchup_values, random_acyclic_game, random_game,
-                     tree_maximin_values)
+from oracles import (dense_matchup_values, per_state_value_iteration,
+                     random_acyclic_game, random_game, tree_maximin_values)
 
 ROCK_ONLY = np.array([[1.0, 0.0, 0.0]])
 
@@ -234,3 +234,25 @@ def test_cyclic_kernel_policies_earn_their_values(seed):
     game = random_game(rng, states=6, a1=3, a2=2, gamma=0.9, branching=3)
     assert game.levels is None
     assert_policies_earn_their_values(game, solve_ne(game), *random_joint(rng, game))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_ne_is_the_per_state_dynamic_program_bit_for_bit(seed):
+    # the stacked stage-game solves change no bit of the equilibrium, on
+    # value iteration (cyclic) and on one backward pass (acyclic)
+    rng = make_rng(200 + seed)
+    cyclic = random_game(rng, states=8, a1=3, a2=3, gamma=0.9, branching=3)
+    acyclic = random_acyclic_game(rng, states=12, a1=3, a2=3, support=2)
+    assert cyclic.levels is None and acyclic.levels is not None
+    for game in (cyclic, acyclic):
+        ne = solve_ne(game)
+        v, stages, p1, p2, residual = per_state_value_iteration(game)
+        assert _bits(ne.v_star) == _bits(np.stack([v, -v]))
+        assert _bits(ne.q_star) == _bits(np.stack([stages, -stages]))
+        assert _bits(ne.ne_policy.p1) == _bits(p1)
+        assert _bits(ne.ne_policy.p2) == _bits(p2)
+        assert _bits(ne.residual) == _bits(residual)

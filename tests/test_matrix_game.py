@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from subgamelab import best_response_value, solve
+from subgamelab import best_response_value, solve, solve_stack
 
 from oracles import support_enumeration_value
 
@@ -111,3 +113,53 @@ def test_best_response_degenerate_and_errors():
         best_response_value(RPS, np.array([0.5, 0.5]), "row")
     with pytest.raises(ValueError):
         best_response_value(RPS, np.array([1.0, 0.0, 0.0]), "diagonal")
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_stack_is_solve_per_matrix(stack):
+    k, m, n = stack.shape
+    values, p, q = solve_stack(stack)
+    assert values.shape == (k,) and p.shape == (k, m) and q.shape == (k, n)
+    for i, payoff in enumerate(stack):
+        sol = solve(payoff)
+        assert _bits(values[i]) == _bits(sol.value)
+        assert _bits(p[i]) == _bits(sol.row_strategy)
+        assert _bits(q[i]) == _bits(sol.col_strategy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 40), m=st.integers(1, 8), n=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+@example(k=40, m=1, n=8, seed=0, ties=True)
+@example(k=40, m=8, n=1, seed=0, ties=False)
+def test_solve_stack_is_solve_per_matrix_bit_for_bit(k, m, n, seed, ties):
+    # small integers force tied ratios and degenerate pivots; uniform entries
+    # mostly give mixed games, so most stacks hold saddles and mixed ones
+    rng = np.random.default_rng(seed)
+    stack = (rng.integers(-2, 3, size=(k, m, n)).astype(np.float64) if ties
+             else rng.uniform(-1.0, 1.0, size=(k, m, n)))
+    _assert_stack_is_solve_per_matrix(stack)
+
+
+def test_solve_stack_holds_saddles_and_mixed_games_together():
+    rng = np.random.default_rng(17)
+    stack = rng.uniform(-1.0, 1.0, size=(40, 3, 3))
+    saddle = stack.min(axis=2).max(axis=1) == stack.max(axis=1).min(axis=1)
+    assert 0 < saddle.sum() < 40
+    _assert_stack_is_solve_per_matrix(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_stack_rejects_a_non_finite_entry_anywhere(bad):
+    stack = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 3, 4))
+    stack[3, 2, 1] = bad
+    with pytest.raises(ValueError, match="payoff entries must be finite") as per_matrix:
+        solve(stack[3])
+    with pytest.raises(ValueError, match="payoff entries must be finite") as stacked:
+        solve_stack(stack)
+    assert str(stacked.value) == str(per_matrix.value)
+    with pytest.raises(ValueError, match="stack of non-empty matrices"):
+        solve_stack(stack[0])
