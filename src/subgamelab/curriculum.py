@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameSpec, Rng, Transition, sample_initial
+from .game import GameSpec, Rng, Transition, _draw, sample_initial
 from .learner import Learner
 
 METRIC_VARIANTS = ("full", "uniform", "bias_only", "variance_only", "td_error")
@@ -305,9 +305,7 @@ def sample_subgame(buf: WeightedStateBuffer | SamplingTable | None, game: GameSp
     """
     table = SamplingTable.of(buf) if isinstance(buf, WeightedStateBuffer) else buf
     if table is not None and cfg.p > 0.0 and table.cum.size and rng.random() < cfg.p:
-        idx = min(int(np.searchsorted(table.cum, rng.random(), side="right")),
-                  table.cum.size - 1)
-        return int(table.states[idx])
+        return int(table.states[_draw(table.cum, rng)])
     return sample_initial(game, rng)
 
 

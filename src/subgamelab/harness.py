@@ -260,8 +260,10 @@ def replicate_fig2(n_max: int, seeds: int, threshold: float = 1e-2):
     per-seed sample counts (None where the budget ran out). Censored seeds
     never enter a mean; they are flagged in the ``censored`` column.
     """
-    if n_max > 10:
-        raise ValueError("n_max capped at 10")
+    if not 1 <= n_max <= 10:
+        raise ValueError(f"n_max must lie in 1..10, got {n_max}")
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     seed_tuple = tuple(range(seeds))
     out = []
     for n in range(1, n_max + 1):
@@ -298,6 +300,8 @@ def coverage_experiment(n: int, seeds: int, base_seed: int = 0) -> float:
     """
     if n < 2:
         raise ValueError("coverage needs n >= 2")
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     game = make_rps(RpsParams(n))
     policy = uniform_policy(game)
     totals = []
@@ -321,6 +325,8 @@ def coverage_experiment(n: int, seeds: int, base_seed: int = 0) -> float:
 
 def joint_action_coverage(seeds: int, base_seed: int = 0) -> float:
     """Mean episodes of one-round play until all nine joint actions appear."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     game = make_rps(RpsParams(1))
     policy = uniform_policy(game)
     counts = []

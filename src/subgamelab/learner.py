@@ -3,19 +3,19 @@
 Each player keeps its own Q-table over (state, joint action); a backup
 bootstraps through the maximin value of that player's stage matrix at the
 successor state. Both players are trained from the same sample stream
-(self-play style). Per-state stage-game solutions are memoized and
-invalidated when the underlying Q-row changes, since the inner LP dominates
-runtime.
+(self-play style). Solved stage games are stored per state and re-solved,
+a batch of states at a time, only after a Q-row changes: the LP dominates.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .game import GameSpec, Policy, Rng, Transition, rollout
-from .matrix_game import MatrixSolution, solve
+from .matrix_game import solve_stack
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class LearnerConfig:
 
     ``lr`` is the base learning rate. ``lr_decay`` selects the schedule:
     None keeps it constant (the right choice for deterministic kernels),
-    "visit_count" uses lr / (1 + previous visits of the pair), and a float d
+    "visit_count" uses lr / (1 + previous visits of the pair), and a number d
     uses lr * d**visits. ``epsilon`` mixes uniform exploration into the
     maximin policy. ``batch_size`` is how many samples are collected under
     one exploration policy before it is refreshed from the current Q-tables;
@@ -39,10 +39,10 @@ class LearnerConfig:
     def __post_init__(self):
         if not 0.0 < self.lr <= 1.0:
             raise ValueError("lr must lie in (0, 1]")
-        if isinstance(self.lr_decay, str) and self.lr_decay != "visit_count":
-            raise ValueError("lr_decay must be None, 'visit_count', or a float")
-        if isinstance(self.lr_decay, float) and not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("multiplicative lr_decay must lie in (0, 1]")
+        d = self.lr_decay
+        real = isinstance(d, numbers.Real) and not isinstance(d, bool)
+        if d not in (None, "visit_count") and not (real and 0.0 < d <= 1.0):
+            raise ValueError(f"lr_decay must be None, 'visit_count' or a number in (0, 1], got {d!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.batch_size < 1:
@@ -51,25 +51,25 @@ class LearnerConfig:
 
 @dataclass
 class QTable:
-    """Per-player Q estimates plus shared visit counts and a stage cache.
+    """Per-player Q estimates, shared visit counts and a per-state stage store.
 
     Zero-sum consistency is not enforced entry by entry; each player learns
-    its own table from the shared stream. The cache maps (player, state) to
-    that state's solved stage game and is dropped whenever the row is
-    written. Each state's pair of stage values is kept too, with a dirty
-    mask that starts all-true, so :func:`values_from_q` re-solves only the
-    rows written since its last call.
+    its own table from the shared stream. The stage store keeps every state's
+    solved stage games: the (2, S) maximin values and each player's maximin
+    row strategies, (S, A1) and (S, A2). A write only marks its state dirty
+    (all states start dirty); :meth:`refresh` is the one place that solves.
     """
 
     q: np.ndarray  # (2, S, A1, A2)
     visits: np.ndarray  # (S, A1, A2) int64
-    _stage_cache: dict = field(default_factory=dict, repr=False)
     _values: np.ndarray = field(init=False, repr=False)  # (2, S)
+    _strategies: tuple = field(init=False, repr=False)  # (S, A1), (S, A2)
     _dirty: np.ndarray = field(init=False, repr=False)  # (S,) bool
 
     def __post_init__(self):
-        s_count = self.q.shape[1]
+        _, s_count, a1, a2 = self.q.shape
         self._values = np.zeros((2, s_count))
+        self._strategies = (np.zeros((s_count, a1)), np.zeros((s_count, a2)))
         self._dirty = np.ones(s_count, dtype=bool)
 
     @classmethod
@@ -78,26 +78,28 @@ class QTable:
         return cls(np.zeros((2, game.state_count, a1, a2)),
                    np.zeros((game.state_count, a1, a2), dtype=np.int64))
 
-    def stage_solution(self, player: int, state: int) -> MatrixSolution:
-        """Solved stage game at ``state`` from ``player``'s perspective.
+    def refresh(self, rows) -> None:
+        """Re-solve the stage games at states ``rows`` and mark them clean.
 
-        Player 0 is the row chooser of its own matrix; player 1's matrix is
-        transposed so it too is the maximizing row chooser.
+        Player 1's matrices are transposed so it too is the maximizing row chooser.
         """
-        key = (player, state)
-        cached = self._stage_cache.get(key)
-        if cached is None:
-            matrix = self.q[0, state] if player == 0 else self.q[1, state].T
-            cached = solve(matrix)
-            self._stage_cache[key] = cached
-        return cached
+        if len(rows) == 0:
+            return
+        for player, strategies in enumerate(self._strategies):
+            stages = self.q[0, rows] if player == 0 else self.q[1, rows].transpose(0, 2, 1)
+            self._values[player, rows], strategies[rows], _ = solve_stack(stages)
+        self._dirty[rows] = False
+
+    def stage_solution(self, player: int, state: int) -> tuple[float, np.ndarray]:
+        """``player``'s maximin value and row strategy (a view) at ``state``."""
+        if self._dirty[state]:
+            self.refresh([state])
+        return float(self._values[player, state]), self._strategies[player][state]
 
     def stage_value(self, player: int, state: int) -> float:
-        return self.stage_solution(player, state).value
+        return self.stage_solution(player, state)[0]
 
     def invalidate(self, state: int) -> None:
-        self._stage_cache.pop((0, state), None)
-        self._stage_cache.pop((1, state), None)
         self._dirty[state] = True
 
 
@@ -122,7 +124,6 @@ def minimax_q_update(q: QTable, batch: list[Transition], cfg: LearnerConfig,
         q.visits[tr.state, tr.action1, tr.action2] += 1
         if alpha == 0.0:
             continue
-        changed = False
         for player in (0, 1):
             reward = tr.reward1 if player == 0 else -tr.reward1
             backup = 0.0 if tr.terminal else q.stage_value(player, tr.next_state)
@@ -131,9 +132,7 @@ def minimax_q_update(q: QTable, batch: list[Transition], cfg: LearnerConfig,
             new = (1.0 - alpha) * old + alpha * target
             if new != old:
                 q.q[player, tr.state, tr.action1, tr.action2] = new
-                changed = True
-        if changed:
-            q.invalidate(tr.state)
+                q.invalidate(tr.state)
     return q
 
 
@@ -148,9 +147,9 @@ def exploration_policy(q: QTable, cfg: LearnerConfig) -> Policy:
     p1 = np.full((s_count, a1), eps / a1)
     p2 = np.full((s_count, a2), eps / a2)
     if eps < 1.0:
-        for s in range(s_count):
-            p1[s] += (1.0 - eps) * q.stage_solution(0, s).row_strategy
-            p2[s] += (1.0 - eps) * q.stage_solution(1, s).row_strategy
+        q.refresh(np.flatnonzero(q._dirty))
+        p1 += (1.0 - eps) * q._strategies[0]
+        p2 += (1.0 - eps) * q._strategies[1]
     return Policy(p1, p2)
 
 
@@ -160,10 +159,7 @@ def values_from_q(q: QTable) -> np.ndarray:
     Returns a (2, S) copy; only rows invalidated since the last call are
     re-solved.
     """
-    for s in np.flatnonzero(q._dirty).tolist():
-        q._values[0, s] = q.stage_value(0, s)
-        q._values[1, s] = q.stage_value(1, s)
-    q._dirty[:] = False
+    q.refresh(np.flatnonzero(q._dirty))
     return q._values.copy()
 
 

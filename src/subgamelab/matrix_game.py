@@ -17,7 +17,7 @@ deterministic paths are used:
 A stack's mixed matrices pivot together, each step taken by every tableau
 at once, so a dynamic-programming sweep over many small stage games costs
 a few pivots' worth of numpy calls rather than one LP per state. A single
-mixed matrix (the learner's cache misses, the CLI) takes a plain one-tableau
+mixed matrix (a one-row learner refresh, the CLI) takes a plain one-tableau
 pivot loop instead, which is about twice as fast for it. Matrices are small
 (tens of actions), so no sparsity or scaling tricks are needed.
 """

@@ -2,16 +2,20 @@
 
 Nothing here shares code with the package's solvers: matrix games are solved
 by exhaustive support enumeration, and Markov games by recursing over the
-game tree with that enumerator at every node. The one exception is
-``per_state_value_iteration``, which keeps the equilibrium dynamic program
-with one ``solve`` call per state as the reference for the stacked kernel.
+game tree with that enumerator at every node. The exceptions keep earlier,
+simpler forms of package code as references for faster ones:
+``per_state_value_iteration`` is the equilibrium dynamic program with one
+``solve`` call per state, the reference for the stacked kernel, and
+``DictCacheQTable`` with its three functions is the minimax-Q learner with a
+dict of per-(player, state) ``solve`` results, the reference for the
+learner's per-state stage store.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from subgamelab import GameSpec, solve
+from subgamelab import GameSpec, Policy, solve
 
 
 def support_enumeration_value(payoff, tol=1e-9):
@@ -176,3 +180,84 @@ def per_state_value_iteration(game: GameSpec, tol=1e-10, max_iters=100_000):
         stages, values, strategies = sweep()
         residual = float(np.abs(values - v_ext[:-1]).max())
     return v_ext[:-1], stages, strategies[:, :a1], strategies[:, a1:], residual
+
+
+class DictCacheQTable:
+    """The learner's Q-tables with a dict stage cache beside a dirty value table.
+
+    ``stage_cache`` maps (player, state) to that state's ``solve`` result and
+    is dropped whenever the row is written; ``values`` holds each state's
+    pair of stage values, refreshed by ``dict_cache_values_from_q`` for the
+    rows marked in ``dirty``.
+    """
+
+    def __init__(self, game: GameSpec):
+        a1, a2 = game.action_counts
+        self.q = np.zeros((2, game.state_count, a1, a2))
+        self.visits = np.zeros((game.state_count, a1, a2), dtype=np.int64)
+        self.stage_cache = {}
+        self.values = np.zeros((2, game.state_count))
+        self.dirty = np.ones(game.state_count, dtype=bool)
+
+    def stage_solution(self, player, state):
+        key = (player, state)
+        cached = self.stage_cache.get(key)
+        if cached is None:
+            matrix = self.q[0, state] if player == 0 else self.q[1, state].T
+            cached = solve(matrix)
+            self.stage_cache[key] = cached
+        return cached
+
+    def invalidate(self, state):
+        self.stage_cache.pop((0, state), None)
+        self.stage_cache.pop((1, state), None)
+        self.dirty[state] = True
+
+
+def dict_cache_minimax_q_update(q: DictCacheQTable, batch, cfg, discount):
+    """The minimax-Q backup of every sample, in order, for both players."""
+    for tr in batch:
+        prior = int(q.visits[tr.state, tr.action1, tr.action2])
+        if cfg.lr_decay is None:
+            alpha = cfg.lr
+        elif cfg.lr_decay == "visit_count":
+            alpha = cfg.lr / (1.0 + prior)
+        else:
+            alpha = cfg.lr * cfg.lr_decay**prior
+        q.visits[tr.state, tr.action1, tr.action2] += 1
+        if alpha == 0.0:
+            continue
+        changed = False
+        for player in (0, 1):
+            reward = tr.reward1 if player == 0 else -tr.reward1
+            backup = 0.0 if tr.terminal else q.stage_solution(player, tr.next_state).value
+            target = reward + discount * backup
+            old = q.q[player, tr.state, tr.action1, tr.action2]
+            new = (1.0 - alpha) * old + alpha * target
+            if new != old:
+                q.q[player, tr.state, tr.action1, tr.action2] = new
+                changed = True
+        if changed:
+            q.invalidate(tr.state)
+    return q
+
+
+def dict_cache_exploration_policy(q: DictCacheQTable, epsilon: float) -> Policy:
+    """Epsilon-mixture of uniform play and each player's maximin strategy, per state."""
+    _, s_count, a1, a2 = q.q.shape
+    p1 = np.full((s_count, a1), epsilon / a1)
+    p2 = np.full((s_count, a2), epsilon / a2)
+    if epsilon < 1.0:
+        for s in range(s_count):
+            p1[s] += (1.0 - epsilon) * q.stage_solution(0, s).row_strategy
+            p2[s] += (1.0 - epsilon) * q.stage_solution(1, s).row_strategy
+    return Policy(p1, p2)
+
+
+def dict_cache_values_from_q(q: DictCacheQTable) -> np.ndarray:
+    """(2, S) copy of the stage values, re-solving the rows written since last time."""
+    for s in np.flatnonzero(q.dirty).tolist():
+        q.values[0, s] = q.stage_solution(0, s).value
+        q.values[1, s] = q.stage_solution(1, s).value
+    q.dirty[:] = False
+    return q.values.copy()

@@ -75,6 +75,13 @@ def test_coverage_subcommand(capsys):
     assert out["mean_episodes"] == pytest.approx(25.46, abs=4.0)
 
 
+@pytest.mark.parametrize("extra", [[], ["--actions"]], ids=["states", "actions"])
+def test_coverage_subcommand_rejects_zero_seeds(capsys, extra):
+    with pytest.raises(ValueError, match="seeds"):
+        run_cli(capsys, "coverage", "--n", "2", "--seeds", "0", *extra)
+    assert capsys.readouterr().out == ""
+
+
 def test_train_subcommand(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("""

@@ -91,6 +91,21 @@ def test_coverage_experiment_n2_constant():
         coverage_experiment(1, seeds=10)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: coverage_experiment(3, seeds=0), "seeds"),
+    (lambda: coverage_experiment(3, seeds=-1), "seeds"),
+    (lambda: joint_action_coverage(seeds=0), "seeds"),
+    (lambda: replicate_fig2(n_max=0, seeds=2), "n_max"),
+    (lambda: replicate_fig2(n_max=11, seeds=2), "n_max"),
+    (lambda: replicate_fig2(n_max=1, seeds=0), "seeds"),
+], ids=["coverage_no_seeds", "coverage_negative_seeds", "actions_no_seeds",
+        "fig2_no_sizes", "fig2_too_large", "fig2_no_seeds"])
+def test_experiments_reject_empty_inputs(call, name):
+    # an empty run would report a NaN mean or an empty table
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 def test_joint_action_coverage_quick():
     # full 1000-seed constant is pinned in the acceptance suite
     assert joint_action_coverage(seeds=200) == pytest.approx(25.46, abs=2.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from subgamelab import (GridPursuitParams, Learner, LearnerConfig, QTable, RpsPa
 from subgamelab import learner as learner_module
 from subgamelab.envs import RPS_WINS
 
-from oracles import support_enumeration_value
+from oracles import (DictCacheQTable, dict_cache_exploration_policy,
+                     dict_cache_minimax_q_update, dict_cache_values_from_q, random_game,
+                     support_enumeration_value)
 
 
 def rps_game(n=1):
@@ -188,8 +192,12 @@ def test_config_validation():
         LearnerConfig(lr=0.0)
     with pytest.raises(ValueError):
         LearnerConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        LearnerConfig(lr_decay="linear")
+    for decay in ("linear", 2, 2.0, -1, 0, 0.0, True, False, [0.5], float("nan"),
+                  float("inf"), np.float64(1.5)):
+        with pytest.raises(ValueError, match="lr_decay"):
+            LearnerConfig(lr_decay=decay)
+    for decay in (None, "visit_count", 0.5, 1, 1.0, np.float64(0.9)):
+        assert LearnerConfig(lr_decay=decay).lr_decay == decay
     with pytest.raises(ValueError):
         LearnerConfig(batch_size=0)
 
@@ -210,7 +218,10 @@ def test_win_pairs_constant_is_consistent():
 def random_transition(game, rng):
     s = int(rng.integers(0, game.state_count))
     a1, a2 = (int(a) for a in rng.integers(0, game.action_counts))
-    nxt = int(game.next_states[s, a1, a2, 0])
+    slot = 0
+    if game.next_states.shape[3] > 1:  # a stochastic kernel: any live successor
+        slot = int(rng.choice(np.flatnonzero(game.next_probs[s, a1, a2] > 0.0)))
+    nxt = int(game.next_states[s, a1, a2, slot])
     return Transition(s, a1, a2, float(game.reward1[s, a1, a2]), nxt,
                       nxt == game.terminal_index)
 
@@ -233,6 +244,71 @@ def test_values_from_q_refreshes_written_rows_exactly(game, seed, batches, lr, d
         minimax_q_update(q, batch, cfg, game.discount)
         fresh = QTable(q.q.copy(), q.visits.copy())
         assert values_from_q(q).tolist() == values_from_q(fresh).tolist()
+
+
+# non-square cyclic games; every state of both has a self-loop
+REFERENCE_GAMES = {**GAMES,
+                   "cyclic2x3": random_game(make_rng(5), states=4, a1=2, a2=3, branching=3),
+                   "cyclic3x2": random_game(make_rng(6), states=5, a1=3, a2=2, branching=3)}
+READS = ("values", "greedy", "explore")
+
+
+@settings(max_examples=80, deadline=None)
+@given(game=st.sampled_from(sorted(REFERENCE_GAMES)), seed=st.integers(0, 2**32 - 1),
+       batches=st.lists(st.tuples(st.integers(0, 12), st.lists(st.sampled_from(READS))),
+                        min_size=1, max_size=8),
+       lr=st.sampled_from([1.0, 0.5]), decay=st.sampled_from([None, "visit_count", 0.9]))
+def test_stage_store_matches_dict_cache_reference(game, seed, batches, lr, decay):
+    # same Q-tables, values and policies, bit for bit, whatever reads fall between writes
+    game = REFERENCE_GAMES[game]
+    rng = make_rng(seed)
+    q, ref = QTable.zeros(game), DictCacheQTable(game)
+    cfg = LearnerConfig(lr=lr, lr_decay=decay)
+
+    def assert_reads_equal(names):
+        for name in names:
+            if name == "values":
+                pairs = [(values_from_q(q), dict_cache_values_from_q(ref))]
+            else:
+                eps = 0.0 if name == "greedy" else 0.3
+                pol = exploration_policy(q, replace(cfg, epsilon=eps))
+                pol_ref = dict_cache_exploration_policy(ref, eps)
+                pairs = [(pol.p1, pol_ref.p1), (pol.p2, pol_ref.p2)]
+            for new, old in pairs:
+                assert new.tobytes() == old.tobytes(), name
+
+    for size, reads in batches:
+        batch = [random_transition(game, rng) for _ in range(size)]
+        minimax_q_update(q, batch, cfg, game.discount)
+        dict_cache_minimax_q_update(ref, batch, cfg, game.discount)
+        assert q.q.tobytes() == ref.q.tobytes()
+        assert q.visits.tobytes() == ref.visits.tobytes()
+        assert_reads_equal(reads)
+    assert_reads_equal(READS)
+
+
+def test_refresh_solves_only_rows_written_since_their_last_solve(monkeypatch):
+    solved = []
+    original = learner_module.solve_stack
+
+    def counting(stages):
+        solved.append(len(stages))
+        return original(stages)
+
+    monkeypatch.setattr(learner_module, "solve_stack", counting)
+    game = rps_game(3)
+    q = QTable.zeros(game)
+    values_from_q(q)
+    assert solved == [3, 3]  # every row starts unsolved; one stack per player
+    values_from_q(q)
+    exploration_policy(q, LearnerConfig(epsilon=0.5))
+    q.stage_solution(1, 2)
+    assert solved == [3, 3]
+    win = Transition(2, 0, 2, 1.0, game.terminal_index, True)
+    minimax_q_update(q, [win], LearnerConfig(lr=1.0, lr_decay=None), game.discount)
+    exploration_policy(q, LearnerConfig(epsilon=0.5))
+    values_from_q(q)
+    assert solved == [3, 3, 1, 1]
 
 
 def test_values_from_q_returns_a_copy():
