@@ -19,7 +19,7 @@ def _env_params_from_args(args) -> dict:
     params = {}
     if args.env == "rps":
         if args.n is None:
-            raise SystemExit("--n is required for the rps environment")
+            raise ValueError("--n is required for the rps environment")
         params["rps_n"] = args.n
     else:
         params["grid_width"] = args.width
@@ -182,7 +182,10 @@ def main(argv=None) -> None:
     p_mat.set_defaults(func=cmd_solve_matrix)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, OSError) as exc:  # bad user input or file: a usage error
+        parser.exit(2, f"subgamelab {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -262,15 +262,6 @@ def fps_prune(buf: WeightedStateBuffer, k: int) -> WeightedStateBuffer:
     return buf
 
 
-def random_prune(buf: WeightedStateBuffer, k: int, rng: Rng) -> WeightedStateBuffer:
-    """Uniformly random k-subset; baseline for the FPS spread comparison."""
-    if len(buf) <= k:
-        return buf
-    chosen = rng.choice(buf.states, size=k, replace=False)
-    buf._take(np.searchsorted(buf.states, np.sort(chosen)))
-    return buf
-
-
 @dataclass(frozen=True)
 class SamplingTable:
     """The buffer's start-state draw table, built once per epoch.
@@ -292,18 +283,16 @@ class SamplingTable:
         return cls(states, np.cumsum(weights / total))
 
 
-def sample_subgame(buf: WeightedStateBuffer | SamplingTable | None, game: GameSpec,
-                   cfg: SamplerConfig, rng: Rng) -> int:
+def sample_subgame(table: SamplingTable | None, game: GameSpec, cfg: SamplerConfig,
+                   rng: Rng) -> int:
     """Choose an episode's start state.
 
-    With probability p and a usable buffer, draw a buffered state with
+    With probability p and a usable buffer table, draw a buffered state with
     probability proportional to its weight; otherwise draw from the game's
-    initial distribution. An empty buffer or all-zero weights fall back to
-    the initial distribution without drawing the p-coin, and so does p=0.
-    ``buf`` may also be the buffer's :class:`SamplingTable`, which saves
-    rebuilding it on every call while the buffer does not change.
+    initial distribution. No table, an empty buffer or all-zero weights fall
+    back to the initial distribution without drawing the p-coin, and so does
+    p=0.
     """
-    table = SamplingTable.of(buf) if isinstance(buf, WeightedStateBuffer) else buf
     if table is not None and cfg.p > 0.0 and table.cum.size and rng.random() < cfg.p:
         return int(table.states[_draw(table.cum, rng)])
     return sample_initial(game, rng)

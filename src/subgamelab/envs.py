@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .game import GameSpec, _default_features
+from .game import GameSpec
 
 ROCK, PAPER, SCISSORS = 0, 1, 2
 # (a1, a2) pairs where player 1 wins the round
@@ -56,8 +56,8 @@ def make_rps(params: RpsParams) -> GameSpec:
                 reward1[k, a1, a2] = 1.0
     rho = np.zeros(n)
     rho[0] = 1.0
-    return GameSpec(next_states, next_probs, reward1, 1.0, rho, _default_features(n),
-                    horizon=n)
+    features = (np.arange(n, dtype=np.float64) / max(n - 1, 1)).reshape(-1, 1)
+    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=n)
 
 
 @dataclass(frozen=True)

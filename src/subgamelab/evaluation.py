@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, Policy, Rng, rollout, sample_initial
+from .game import GameSpec, Policy
 from .matrix_game import solve_stack
 
 
@@ -86,11 +86,6 @@ def _sweep(game: GameSpec, reward: np.ndarray, reduce, tol: float, max_iters: in
     stages = _stages(game, reward, v_ext, every)
     values, aux = reduce(stages, every)
     return v, stages, aux, float(np.abs(values - v).max())
-
-
-def shapley_backup(game: GameSpec, v1: np.ndarray) -> np.ndarray:
-    """One value-iteration sweep for player 1: maximin of each stage matrix."""
-    return _maximin(_stages(game, game.reward1, np.append(v1, 0.0), slice(None)), None)[0]
 
 
 def solve_ne(game: GameSpec, tol: float = 1e-10, max_iters: int = 100_000) -> NESolution:
@@ -179,24 +174,3 @@ def matchup_value(game: GameSpec, p1: np.ndarray, p2: np.ndarray,
     v, _, _, _ = _sweep(game, game.reward1, bilinear, tol, max_iters)
     return float(game.initial_dist @ v)
 
-
-def evaluate_matchup(game: GameSpec, p1: np.ndarray, p2: np.ndarray,
-                     episodes: int, rng: Rng, max_steps: int = 10_000) -> float:
-    """Monte-Carlo mean of player 1's discounted return from the start states.
-
-    The exact expectation is available from :func:`matchup_value`.
-    """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    joint = Policy(p1, p2)
-    total = 0.0
-    for _ in range(episodes):
-        s0 = sample_initial(game, rng)
-        traj = rollout(game, joint, s0, rng, max_steps)
-        ret = 0.0
-        scale = 1.0
-        for tr in traj:
-            ret += scale * tr.reward1
-            scale *= game.discount
-        total += ret
-    return total / episodes

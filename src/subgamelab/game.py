@@ -9,7 +9,6 @@ deterministic and stochastic kernels share one representation. Only player
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,10 +18,6 @@ import numpy as np
 Rng = np.random.Generator
 
 _PROB_TOL = 1e-12
-
-
-def make_rng(seed) -> Rng:
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -133,41 +128,6 @@ class GameSpec:
     def initial_cdf(self) -> np.ndarray:
         return np.cumsum(self.initial_dist)
 
-    @classmethod
-    def from_dense(cls, transition: np.ndarray, reward1: np.ndarray,
-                   discount: float, initial_dist: np.ndarray,
-                   features: np.ndarray | None = None,
-                   horizon: int | None = None) -> "GameSpec":
-        """Build a spec from a dense (S, A1, A2, S+1) transition tensor.
-
-        Column S is the terminal outcome. Intended for small hand-built games;
-        the padded support width is the largest per-row support size.
-        """
-        transition = np.asarray(transition, dtype=np.float64)
-        s_count = transition.shape[0]
-        if transition.shape[3] != s_count + 1:
-            raise ValueError("dense transition must have S+1 outcome columns")
-        support = transition > 0.0
-        k = max(int(support.sum(axis=3).max()), 1)
-        shape3 = transition.shape[:3]
-        ns = np.full(shape3 + (k,), s_count, dtype=np.int64)
-        npr = np.zeros(shape3 + (k,), dtype=np.float64)
-        for s in range(shape3[0]):
-            for a1 in range(shape3[1]):
-                for a2 in range(shape3[2]):
-                    idx = np.flatnonzero(support[s, a1, a2])
-                    ns[s, a1, a2, : idx.size] = idx
-                    npr[s, a1, a2, : idx.size] = transition[s, a1, a2, idx]
-        if features is None:
-            features = _default_features(s_count)
-        return cls(ns, npr, reward1, discount, initial_dist, features, horizon)
-
-
-def _default_features(s_count: int) -> np.ndarray:
-    if s_count == 1:
-        return np.zeros((1, 1))
-    return (np.arange(s_count, dtype=np.float64) / (s_count - 1)).reshape(-1, 1)
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -216,18 +176,6 @@ class Transition:
     reward1: float
     next_state: int  # equals the terminal index when terminal is set
     terminal: bool
-
-
-def subgame_of(game: GameSpec, s0: int) -> GameSpec:
-    """The same game restarted from ``s0``: a point-mass initial distribution."""
-    s0 = int(s0)
-    if not 0 <= s0 < game.state_count:
-        raise ValueError(
-            f"subgame start {s0} is not a valid non-terminal state "
-            f"(valid range 0..{game.state_count - 1})")
-    rho = np.zeros(game.state_count)
-    rho[s0] = 1.0
-    return dataclasses.replace(game, initial_dist=rho)
 
 
 def _draw(cum: np.ndarray, rng: Rng) -> int:

@@ -88,30 +88,33 @@ class RunConfig:
     convergence_threshold: float = 1e-2
 
     def __post_init__(self):
-        errors = validate_run_config(self)
+        errors = []
+        if self.env not in ("rps", "grid_pursuit"):
+            errors.append(f"env must be rps or grid_pursuit, got '{self.env}'")
+        if self.method not in METHODS:
+            errors.append(f"method must be one of {METHODS}, got '{self.method}'")
+        if self.capacity_k < 1:
+            errors.append("capacity_k must be >= 1")
+        if self.episodes_per_epoch < 1:
+            errors.append("episodes_per_epoch must be >= 1")
+        if not self.seeds:
+            errors.append("at least one seed is required")
+        if self.sample_budget <= 0:
+            errors.append("sample_budget must be positive")
+        if self.eval_every <= 0:
+            errors.append("eval_every must be positive")
+        if not (math.isfinite(self.convergence_threshold) and self.convergence_threshold > 0):
+            errors.append("convergence_threshold must be finite and positive")
         if errors:
-            raise ValueError("invalid run config:\n" + "\n".join(f"- {e}" for e in errors))
+            raise ConfigError("invalid run config", errors)
 
 
-def validate_run_config(cfg: RunConfig) -> list[str]:
-    errors = []
-    if cfg.env not in ("rps", "grid_pursuit"):
-        errors.append(f"env must be rps or grid_pursuit, got '{cfg.env}'")
-    if cfg.method not in METHODS:
-        errors.append(f"method must be one of {METHODS}, got '{cfg.method}'")
-    if cfg.capacity_k < 1:
-        errors.append("capacity_k must be >= 1")
-    if cfg.episodes_per_epoch < 1:
-        errors.append("episodes_per_epoch must be >= 1")
-    if not cfg.seeds:
-        errors.append("at least one seed is required")
-    if cfg.sample_budget <= 0:
-        errors.append("sample_budget must be positive")
-    if cfg.eval_every <= 0:
-        errors.append("eval_every must be positive")
-    if not (math.isfinite(cfg.convergence_threshold) and cfg.convergence_threshold > 0):
-        errors.append("convergence_threshold must be finite and positive")
-    return errors
+class ConfigError(ValueError):
+    """A configuration with one or more problems, every one listed in ``problems``."""
+
+    def __init__(self, heading: str, problems: list[str]):
+        super().__init__(heading + ":\n" + "\n".join(f"- {p}" for p in problems))
+        self.problems = problems
 
 
 class _Evaluator:
@@ -345,21 +348,76 @@ def joint_action_coverage(seeds: int, base_seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # Flat key=value config files
 
+def _number(kind):
+    """Parser of one finite ``kind`` (int or float) value."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"cannot parse '{text}' as {kind.__name__}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got '{text}'")
+        return value
+    return parse
+
+
+def _lr_decay(text: str) -> str | float | None:
+    token = text.lower()
+    if token in ("none", "", "visit_count"):
+        return token if token == "visit_count" else None
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError("expected none, visit_count, or a float") from None
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    try:
+        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        seeds = ()
+    if not seeds:
+        raise ValueError(f"cannot parse '{text}' as comma-separated integers")
+    return seeds
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+# key -> (the part it fills, its parser). A part is built from the keys
+# given; every key left out keeps the default of that part's dataclass.
 _CONFIG_KEYS = {
-    "env": str, "rps_n": int, "grid_width": int, "grid_height": int,
-    "grid_horizon": int, "capture_reward": float, "method": str,
-    "lr": float, "lr_decay": str, "epsilon": float, "batch_size": int,
-    "p": float, "capacity_k": int, "alpha_bias": float, "variant": str,
-    "ensemble_size": int, "episodes_per_epoch": int, "seeds": str,
-    "sample_budget": int, "eval_every": int, "convergence_threshold": float,
+    "env": ("run", str), "method": ("run", str), "seeds": ("run", _seeds),
+    "capacity_k": ("run", _INT), "episodes_per_epoch": ("run", _INT),
+    "sample_budget": ("run", _INT), "eval_every": ("run", _INT),
+    "convergence_threshold": ("run", _FLOAT),
+    "rps_n": ("env_params", _INT), "grid_width": ("env_params", _INT),
+    "grid_height": ("env_params", _INT), "grid_horizon": ("env_params", _INT),
+    "capture_reward": ("env_params", _FLOAT),
+    "lr": ("learner", _FLOAT), "lr_decay": ("learner", _lr_decay),
+    "epsilon": ("learner", _FLOAT), "batch_size": ("learner", _INT),
+    "alpha_bias": ("metric", _FLOAT), "variant": ("metric", str),
+    "ensemble_size": ("metric", _INT),
+    "p": ("sampler", _FLOAT),
 }
+_ENV_KEYS = {"rps": ("rps_n",), "grid_pursuit": ("grid_width", "grid_height", "grid_horizon")}
+
+
+def _build(cls, kwargs: dict, errors: list[str]):
+    """``cls(**kwargs)``, or None with its problems appended to ``errors``."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        errors.extend(exc.problems)
+    except ValueError as exc:
+        errors.append(str(exc))
+    return None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a flat ``key = value`` config into a RunConfig.
 
-    Unknown keys, bad values, and missing required keys are all collected and
-    reported together.
+    Unknown keys, bad values, missing required keys and out-of-range
+    settings are all collected and reported together.
     """
     raw: dict[str, str] = {}
     errors: list[str] = []
@@ -376,68 +434,32 @@ def parse_config(text: str) -> RunConfig:
             continue
         raw[key] = value
 
-    typed: dict = {}
+    parts: dict[str, dict] = {part: {} for part, _ in _CONFIG_KEYS.values()}
     for key, value in raw.items():
+        part, parse = _CONFIG_KEYS[key]
         try:
-            typed[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
-            errors.append(f"key '{key}': cannot parse '{value}' as {_CONFIG_KEYS[key].__name__}")
-            continue
-        if _CONFIG_KEYS[key] is float and not math.isfinite(typed[key]):
-            errors.append(f"key '{key}': must be finite, got '{value}'")
+            parts[part][key] = parse(value)
+        except ValueError as exc:
+            errors.append(f"key '{key}': {exc}")
 
+    run, env_params = parts["run"], parts["env_params"]
     for required in ("env", "method"):
-        if required not in typed:
+        if required not in run:
             errors.append(f"missing required key '{required}'")
-    if typed.get("env") == "rps" and "rps_n" not in typed:
-        errors.append("env rps requires rps_n")
-    if typed.get("env") == "grid_pursuit":
-        for key in ("grid_width", "grid_height", "grid_horizon"):
-            if key not in typed:
-                errors.append(f"env grid_pursuit requires {key}")
+    for key in _ENV_KEYS.get(run.get("env"), ()):
+        if key not in env_params:
+            errors.append(f"env {run['env']} requires {key}")
 
-    seeds: tuple[int, ...] = (0,)
-    if "seeds" in typed:
-        try:
-            seeds = tuple(int(tok) for tok in typed["seeds"].split(",") if tok.strip())
-            if not seeds:
-                raise ValueError
-        except ValueError:
-            errors.append(f"key 'seeds': cannot parse '{typed['seeds']}' as comma-separated integers")
-
-    lr_decay: str | float | None = "visit_count"
-    if "lr_decay" in typed:
-        token = typed["lr_decay"].strip().lower()
-        if token in ("none", ""):
-            lr_decay = None
-        elif token == "visit_count":
-            lr_decay = "visit_count"
-        else:
-            try:
-                lr_decay = float(token)
-            except ValueError:
-                errors.append("key 'lr_decay': expected none, visit_count, or a float")
-
+    for part, cls in (("learner", LearnerConfig), ("metric", MetricConfig),
+                      ("sampler", SamplerConfig)):
+        built = _build(cls, parts[part], errors)
+        if built is not None:
+            run[part] = built
+    cfg = None
+    if "env" in run and "method" in run:
+        if run["env"] == "grid_pursuit":
+            run.setdefault("eval_every", 1000)  # coarser evaluation suits the larger game
+        cfg = _build(RunConfig, {**run, "env_params": env_params}, errors)
     if errors:
-        raise ValueError("config errors:\n" + "\n".join(f"- {e}" for e in errors))
-
-    learner = LearnerConfig(
-        lr=typed.get("lr", 1.0), lr_decay=lr_decay,
-        epsilon=typed.get("epsilon", 1.0), batch_size=typed.get("batch_size", 1))
-    metric = MetricConfig(
-        alpha_bias=typed.get("alpha_bias", 1.0), variant=typed.get("variant", "full"),
-        ensemble_size=typed.get("ensemble_size", 1))
-    sampler = SamplerConfig(p=typed.get("p", 0.7))
-    env_params = {k: typed[k] for k in
-                  ("rps_n", "grid_width", "grid_height", "grid_horizon", "capture_reward")
-                  if k in typed}
-    # coarser evaluation suits the larger game
-    default_eval = 1000 if typed["env"] == "grid_pursuit" else 100
-    return RunConfig(
-        env=typed["env"], env_params=env_params, method=typed["method"],
-        learner=learner, metric=metric, sampler=sampler,
-        capacity_k=typed.get("capacity_k", 64),
-        episodes_per_epoch=typed.get("episodes_per_epoch", 8), seeds=seeds,
-        sample_budget=typed.get("sample_budget", 10_000),
-        eval_every=typed.get("eval_every", default_eval),
-        convergence_threshold=typed.get("convergence_threshold", 1e-2))
+        raise ConfigError("config errors", errors)
+    return cfg

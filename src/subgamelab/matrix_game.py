@@ -208,25 +208,3 @@ def solve(payoff) -> MatrixSolution:
     values, p, q = _solve(_validate_payoff(payoff)[None])
     return MatrixSolution(float(values[0]), p[0], q[0])
 
-
-def best_response_value(payoff, opponent, side: str) -> tuple[float, int]:
-    """Best pure reply and its payoff against a fixed mixed opponent.
-
-    ``side`` names the responding player: ``"row"`` answers a column mixture,
-    ``"col"`` answers a row mixture (and maximizes the negated payoff).
-    Returns the lowest-index maximizer.
-    """
-    a = _validate_payoff(payoff)
-    opponent = np.asarray(opponent, dtype=np.float64)
-    if side == "row":
-        if opponent.shape != (a.shape[1],):
-            raise ValueError("opponent mixture must have one entry per column")
-        scores = a @ opponent
-    elif side == "col":
-        if opponent.shape != (a.shape[0],):
-            raise ValueError("opponent mixture must have one entry per row")
-        scores = -(opponent @ a)
-    else:
-        raise ValueError("side must be 'row' or 'col'")
-    action = int(np.argmax(scores))
-    return float(scores[action]), action

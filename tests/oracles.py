@@ -4,11 +4,12 @@ Nothing here shares code with the package's solvers: matrix games are solved
 by exhaustive support enumeration, and Markov games by recursing over the
 game tree with that enumerator at every node. The exceptions keep earlier,
 simpler forms of package code as references for faster ones:
-``per_state_value_iteration`` is the equilibrium dynamic program with one
-``solve`` call per state, the reference for the stacked kernel, and
-``DictCacheQTable`` with its three functions is the minimax-Q learner with a
-dict of per-(player, state) ``solve`` results, the reference for the
-learner's per-state stage store.
+``shapley_backup`` and ``per_state_value_iteration`` are the equilibrium
+dynamic program with one ``solve`` call per state, the reference for the
+stacked kernel, and ``DictCacheQTable`` with its three functions is the
+minimax-Q learner with a dict of per-(player, state) ``solve`` results, the
+reference for the learner's per-state stage store. ``dense_game`` builds
+small hand-written games from a dense transition tensor.
 """
 
 from itertools import combinations
@@ -85,6 +86,29 @@ def tree_maximin_values(game: GameSpec) -> np.ndarray:
     return v_ext[:s_count]
 
 
+def dense_game(transition, reward1, discount, initial_dist, features=None,
+               horizon=None) -> GameSpec:
+    """A game from a dense (S, A1, A2, S+1) transition tensor.
+
+    Column S is the terminal outcome; the padded support width is the largest
+    per-row support size. Features default to the normalised state index.
+    """
+    transition = np.asarray(transition, dtype=np.float64)
+    s_count = transition.shape[0]
+    assert transition.shape[3] == s_count + 1, "dense transition needs S+1 outcome columns"
+    support = transition > 0.0
+    k = max(int(support.sum(axis=3).max()), 1)
+    ns = np.full(transition.shape[:3] + (k,), s_count, dtype=np.int64)
+    npr = np.zeros(transition.shape[:3] + (k,))
+    for index in np.ndindex(*transition.shape[:3]):
+        idx = np.flatnonzero(support[index])
+        ns[index][: idx.size] = idx
+        npr[index][: idx.size] = transition[index][idx]
+    if features is None:
+        features = (np.arange(s_count, dtype=np.float64) / max(s_count - 1, 1)).reshape(-1, 1)
+    return GameSpec(ns, npr, reward1, discount, initial_dist, features, horizon)
+
+
 def random_game(rng, states=4, a1=2, a2=3, gamma=0.9, branching=2) -> GameSpec:
     """A small random stochastic game (possibly cyclic) for property tests."""
     dense = np.zeros((states, a1, a2, states + 1))
@@ -99,7 +123,7 @@ def random_game(rng, states=4, a1=2, a2=3, gamma=0.9, branching=2) -> GameSpec:
     rho = rng.random(states) + 0.1
     rho /= rho.sum()
     features = rng.random((states, 2))
-    return GameSpec.from_dense(dense, reward1, gamma, rho, features=features)
+    return dense_game(dense, reward1, gamma, rho, features=features)
 
 
 def random_acyclic_game(rng, states=5, a1=2, a2=2, support=2, gamma=0.9) -> GameSpec:
@@ -136,6 +160,13 @@ def dense_matchup_values(game: GameSpec, p1, p2) -> np.ndarray:
     reward = (joint * game.reward1).sum(axis=(1, 2))
     lhs = np.eye(s_count) - game.discount * transition[:, :s_count]
     return np.linalg.solve(lhs, reward)
+
+
+def shapley_backup(game: GameSpec, v1) -> np.ndarray:
+    """One value-iteration sweep for player 1: each state's stage game solved alone."""
+    v_ext = np.append(v1, 0.0)
+    stages = game.reward1 + game.discount * (game.next_probs * v_ext[game.next_states]).sum(-1)
+    return np.array([solve(a).value for a in stages])
 
 
 def per_state_value_iteration(game: GameSpec, tol=1e-10, max_iters=100_000):

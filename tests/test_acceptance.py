@@ -15,9 +15,9 @@ from subgamelab import (GridPursuitParams, LearnerConfig, MetricConfig, Policy,
                         RpsParams, RunConfig, SamplerConfig, Transition,
                         ValueEnsemble, WeightedStateBuffer, compute_weight,
                         coverage_experiment, exploitability, fps_prune,
-                        joint_action_coverage, make_grid_pursuit, make_rng,
-                        make_rps, oracle_weight, random_prune, replicate_fig2,
-                        run_experiment, samples_to_converge, solve, solve_ne)
+                        joint_action_coverage, make_grid_pursuit, make_rps,
+                        oracle_weight, replicate_fig2, run_experiment,
+                        samples_to_converge, solve, solve_ne)
 
 from oracles import support_enumeration_value
 
@@ -115,7 +115,7 @@ def test_criterion_4_oracle_exactness_on_rps():
 
 
 def test_criterion_5_matrix_solver_oracle_equivalence():
-    rng = make_rng(2024)
+    rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(200):
         m, n = rng.integers(1, 5, size=2)
@@ -196,7 +196,7 @@ def test_criterion_8_metric_identities():
         for s in range(2) for a in (0.0, 0.7, 1.0)
         for v in ("full", "bias_only", "variance_only"))
 
-    rng = make_rng(88)
+    rng = np.random.default_rng(88)
     identity_worst = 0.0
     for _ in range(100):
         members = rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 2, 2))
@@ -241,21 +241,20 @@ def test_criterion_9_fps_properties():
     best = max(combinations(positions, 2), key=lambda sub: abs(sub[0] - sub[1]))
     exhaustive_ok = kept == sorted(best)
 
-    def spread(buf):
-        return min(np.linalg.norm(a - b) for a, b in combinations(buf.features, 2))
+    def spread(feats):
+        return min(np.linalg.norm(a - b) for a, b in combinations(feats, 2))
 
-    rng = make_rng(99)
+    rng = np.random.default_rng(99)
     wins = 0
     for _ in range(100):
         pts = rng.random((40, 3))
         fps_buf = buffer_of(pts, np.ones(40))
-        rnd_buf = buffer_of(pts, np.ones(40))
         fps_prune(fps_buf, 8)
-        random_prune(rnd_buf, 8, rng)
-        if spread(fps_buf) >= spread(rnd_buf):
+        chosen = rng.choice(np.arange(40), size=8, replace=False)  # random pruning
+        if spread(fps_buf.features) >= spread(pts[chosen]):
             wins += 1
 
-    pts = make_rng(5).random((25, 2))
+    pts = np.random.default_rng(5).random((25, 2))
     kept_twice = []
     for _ in range(2):
         buf = buffer_of(pts, [float(i % 7) for i in range(25)])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,17 @@ from subgamelab.cli import main
 def run_cli(capsys, *argv):
     main(list(argv))
     return capsys.readouterr().out
+
+
+def cli_error(capsys, *argv) -> str:
+    """Run a command that must fail on its input; return its stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
 
 
 def test_solve_matrix_file(tmp_path, capsys):
@@ -64,8 +76,10 @@ def test_exploitability_rejects_bad_policy_file(tmp_path, capsys, player1, messa
     policy = {"player1": player1, "player2": {"0": UNIFORM, "1": UNIFORM}}
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(policy))
-    with pytest.raises(ValueError, match=message):
-        run_cli(capsys, "exploitability", "--env", "rps", "--n", "2", "--policy", str(path))
+    err = cli_error(capsys, "exploitability", "--env", "rps", "--n", "2",
+                    "--policy", str(path))
+    assert err.startswith("subgamelab exploitability: error: ")
+    assert re.search(message, err)
 
 
 def test_coverage_subcommand(capsys):
@@ -77,9 +91,9 @@ def test_coverage_subcommand(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--actions"]], ids=["states", "actions"])
 def test_coverage_subcommand_rejects_zero_seeds(capsys, extra):
-    with pytest.raises(ValueError, match="seeds"):
-        run_cli(capsys, "coverage", "--n", "2", "--seeds", "0", *extra)
-    assert capsys.readouterr().out == ""
+    err = cli_error(capsys, "coverage", "--n", "2", "--seeds", "0", *extra)
+    assert err.startswith("subgamelab coverage: error: ")
+    assert "seeds" in err and err.count("\n") == 1
 
 
 def test_train_subcommand(tmp_path, capsys):
@@ -108,3 +122,19 @@ def test_replicate_fig2_subcommand(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "n,method,mean_samples,stderr,seeds,censored"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["train", "--config", "bad.cfg"],
+     ["subgamelab train: error: config errors:", "- p must lie in [0, 1]",
+      "- capacity_k must be >= 1"]),
+    (["train", "--config", "absent.cfg"],
+     ["subgamelab train: error: [Errno 2] No such file or directory: 'absent.cfg'"]),
+    (["ne-solve", "--env", "rps"],
+     ["subgamelab ne-solve: error: --n is required for the rps environment"]),
+], ids=["bad_config", "missing_config", "rps_without_rounds"])
+def test_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, lines):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("env = rps\nrps_n = 2\nmethod = sacl\n"
+                                      "capacity_k = 0\np = 3\n")
+    assert cli_error(capsys, *argv).splitlines() == lines

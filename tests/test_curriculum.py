@@ -9,8 +9,8 @@ from subgamelab import (GridPursuitParams, Learner, LearnerConfig, MetricConfig,
                         RpsParams, RunConfig, SamplerConfig, SamplingTable,
                         Transition, ValueEnsemble, WeightedStateBuffer,
                         buffer_insert, compute_weight, compute_weights,
-                        curriculum_epoch, fps_prune, make_grid_pursuit, make_rng,
-                        make_rps, oracle_weight, random_prune, run_experiment,
+                        curriculum_epoch, fps_prune, make_grid_pursuit,
+                        make_rps, oracle_weight, run_experiment,
                         sample_initial, sample_subgame, samples_to_converge,
                         signed_values, solve_ne)
 from subgamelab.curriculum import METRIC_VARIANTS, _pairwise_distances
@@ -51,7 +51,7 @@ def test_weight_td_error_variant():
 
 
 def test_weight_nonnegative_on_random_inputs():
-    rng = make_rng(19)
+    rng = np.random.default_rng(19)
     for _ in range(500):
         m = int(rng.integers(1, 4))
         cur = rng.uniform(-2, 2, size=(m, 2, 3))
@@ -70,7 +70,7 @@ def test_full_weight_with_oracle_checkpoint_matches_oracle_weight():
     # into the exact squared-distance weight: (E[X])^2 + Var(X) = E[X^2]
     game = make_rps(RpsParams(2))
     ne = solve_ne(game)
-    rng = make_rng(29)
+    rng = np.random.default_rng(29)
     current = rng.uniform(-1, 1, size=(1, 2, 2))
     previous = np.stack([[ne.v_star[0], -ne.v_star[1]]])
     ens = ValueEnsemble(current=current, previous=previous)
@@ -134,7 +134,7 @@ def test_fps_matches_exhaustive_max_min_distance():
 
 
 def test_fps_deterministic_and_keeps_weights():
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     pts = rng.random((20, 3))
     kept = []
     for _ in range(2):
@@ -146,17 +146,16 @@ def test_fps_deterministic_and_keeps_weights():
 
 
 def test_fps_beats_random_pruning_on_spread():
-    rng = make_rng(11)
+    rng = np.random.default_rng(11)
     dominated = 0
     trials = 100
     for _ in range(trials):
         pts = rng.random((30, 3))
         fps_buf = buffer_of(pts, np.ones(30))
-        rnd_buf = buffer_of(pts, np.ones(30))
         fps_prune(fps_buf, 6)
-        random_prune(rnd_buf, 6, rng)
+        chosen = rng.choice(np.arange(30), size=6, replace=False)  # random pruning
         fps_spread = min_pairwise(fps_buf.features)
-        rnd_spread = min_pairwise(rnd_buf.features)
+        rnd_spread = min_pairwise(pts[chosen])
         if fps_spread >= rnd_spread:
             dominated += 1
     assert dominated >= 95
@@ -173,8 +172,9 @@ def test_sampler_p_zero_equals_initial_distribution():
     buf = WeightedStateBuffer(capacity=4)
     buffer_insert(buf, [(1, 5.0), (2, 1.0)], game)
     cfg = SamplerConfig(p=0.0)
-    draws_a = [sample_subgame(buf, game, cfg, make_rng(0)) for _ in range(50)]
-    rng = make_rng(0)
+    table = SamplingTable.of(buf)
+    draws_a = [sample_subgame(table, game, cfg, np.random.default_rng(0)) for _ in range(50)]
+    rng = np.random.default_rng(0)
     draws_b = [sample_initial(game, rng) for _ in range(50)]
     assert draws_a == draws_b  # identical stream, not just identical law
 
@@ -183,9 +183,10 @@ def test_sampler_weight_proportional_draws():
     game = make_rps(RpsParams(3))
     buf = WeightedStateBuffer(capacity=4)
     buffer_insert(buf, [(1, 1.0), (2, 3.0)], game)
-    rng = make_rng(21)
+    rng = np.random.default_rng(21)
     draws = 10_000
-    hits = sum(sample_subgame(buf, game, SamplerConfig(p=1.0), rng) == 2
+    table = SamplingTable.of(buf)
+    hits = sum(sample_subgame(table, game, SamplerConfig(p=1.0), rng) == 2
                for _ in range(draws))
     sigma = np.sqrt(draws * 0.75 * 0.25)
     assert abs(hits - draws * 0.75) <= 3 * sigma
@@ -193,14 +194,13 @@ def test_sampler_weight_proportional_draws():
 
 def test_sampler_fallbacks():
     game = make_rps(RpsParams(3))
-    rng = make_rng(2)
-    empty = WeightedStateBuffer(capacity=4)
-    assert all(sample_subgame(empty, game, SamplerConfig(p=1.0), rng) == 0
-               for _ in range(50))
+    rng = np.random.default_rng(2)
+    empty = SamplingTable.of(WeightedStateBuffer(capacity=4))
     zeroed = WeightedStateBuffer(capacity=4)
     buffer_insert(zeroed, [(1, 0.0), (2, 0.0)], game)
-    assert all(sample_subgame(zeroed, game, SamplerConfig(p=1.0), rng) == 0
-               for _ in range(50))
+    for table in (None, empty, SamplingTable.of(zeroed)):
+        assert all(sample_subgame(table, game, SamplerConfig(p=1.0), rng) == 0
+                   for _ in range(50))
 
 
 def make_learners(game, seed, count=1):
@@ -373,7 +373,7 @@ def test_compute_weights_bit_equal_to_per_state_formula(seed, members, s_count, 
                                                         alpha, scale):
     # ensemble sizes 4..6 give 2M >= 8 values per state, past the size where
     # numpy's pairwise summation switches to its unrolled blocks
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     ens = ValueEnsemble(current=scale * rng.uniform(-1, 1, size=(members, 2, s_count)),
                         previous=scale * rng.uniform(-1, 1, size=(members, 2, s_count)))
     cfg = MetricConfig(alpha_bias=alpha, variant=variant)
@@ -386,7 +386,7 @@ def test_compute_weights_bit_equal_to_per_state_formula(seed, members, s_count, 
 def test_compute_weights_bit_equal_on_many_states(members):
     # enough states that the rare values whose square rounds differently
     # under np.square than under Python's power are sure to occur
-    rng = make_rng(members)
+    rng = np.random.default_rng(members)
     s_count = 3000
     ens = ValueEnsemble(current=rng.uniform(-3, 3, size=(members, 2, s_count)),
                         previous=rng.uniform(-3, 3, size=(members, 2, s_count)))
@@ -475,10 +475,9 @@ def test_sampling_table_draws_as_the_per_call_sort(entries, p, seed):
     buf = buffer_insert(WeightedStateBuffer(capacity=32), entries.items(), game)
     table = SamplingTable.of(buf)
     cfg = SamplerConfig(p=p)
-    ref_rng, buf_rng, table_rng = make_rng(seed), make_rng(seed), make_rng(seed)
+    ref_rng, table_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
         expected = reference_sample(entries, game, p, ref_rng)
-        assert sample_subgame(buf, game, cfg, buf_rng) == expected
         assert sample_subgame(table, game, cfg, table_rng) == expected
     assert table_rng.random() == ref_rng.random()  # the same number of draws
 
@@ -487,7 +486,7 @@ def test_sampling_table_draws_as_the_per_call_sort(entries, p, seed):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dim=st.integers(1, 10),
        coarse=st.booleans())
 def test_pairwise_distances_are_the_norm_rows(seed, n, dim, coarse):
-    feats = make_rng(seed).random((n, dim))
+    feats = np.random.default_rng(seed).random((n, dim))
     if coarse:  # repeated coordinates and points
         feats = np.round(feats * 2) / 2
     pairwise = _pairwise_distances(feats)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgamelab import (GameSpec, GridPursuitParams, Policy, RpsParams,
-                        best_response, evaluate_matchup, exploitability,
-                        make_grid_pursuit, make_rng, make_rps, matchup_value,
-                        oracle_weight, shapley_backup, solve_ne, uniform_policy)
+                        best_response, exploitability, make_grid_pursuit, make_rps,
+                        matchup_value, oracle_weight, solve_ne, uniform_policy)
 
 from oracles import (dense_matchup_values, per_state_value_iteration,
-                     random_acyclic_game, random_game, tree_maximin_values)
+                     random_acyclic_game, random_game, shapley_backup,
+                     tree_maximin_values)
 
 ROCK_ONLY = np.array([[1.0, 0.0, 0.0]])
 
@@ -52,7 +52,7 @@ def test_solve_ne_matches_tree_oracle_on_grid():
 
 def test_solve_ne_bellman_consistency():
     # Q* reproduces V* through one more stage solve, within tolerance
-    rng = make_rng(23)
+    rng = np.random.default_rng(23)
     game = random_game(rng, states=5, gamma=0.85)
     ne = solve_ne(game, tol=1e-10)
     assert ne.residual <= 1e-10
@@ -61,7 +61,7 @@ def test_solve_ne_bellman_consistency():
 
 
 def test_solve_ne_duality_via_swapped_game():
-    rng = make_rng(31)
+    rng = np.random.default_rng(31)
     game = random_game(rng, states=4, gamma=0.8)
     ne = solve_ne(game)
     ne_swapped = solve_ne(swap_players(game))
@@ -69,14 +69,14 @@ def test_solve_ne_duality_via_swapped_game():
 
 
 def test_solve_ne_flags_nonconvergence():
-    rng = make_rng(37)
+    rng = np.random.default_rng(37)
     game = random_game(rng, states=5, gamma=0.99)
     ne = solve_ne(game, tol=1e-12, max_iters=3)
     assert not ne.converged(1e-12)
 
 
 def test_shapley_contraction_for_discounted_games():
-    rng = make_rng(41)
+    rng = np.random.default_rng(41)
     game = random_game(rng, states=5, gamma=0.7)
     v = np.zeros(game.state_count)
     prev_change = None
@@ -129,7 +129,7 @@ def test_exploitability_uniform_vs_rock():
 def test_exploitability_nonnegative_and_positive_when_perturbed():
     game = make_rps(RpsParams(2))
     ne = solve_ne(game)
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     for _ in range(20):
         p1 = rng.random((2, 3)) + 0.05
         p2 = rng.random((2, 3)) + 0.05
@@ -153,7 +153,7 @@ def test_oracle_weight_values():
 
 
 def test_oracle_weight_bias_variance_identity():
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     game = make_rps(RpsParams(2))
     ne = solve_ne(game)
     members = rng.uniform(-1, 1, size=(3, 2, 2))
@@ -174,25 +174,6 @@ def test_matchup_value_uniform_vs_rock():
     game = make_rps(RpsParams(1))
     value = matchup_value(game, uniform_policy(game).p1, ROCK_ONLY)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-12)  # wins only with paper
-
-
-def test_monte_carlo_matches_dp_for_deterministic_play():
-    game = make_rps(RpsParams(2))
-    point1 = np.zeros((2, 3))
-    point1[:, 1] = 1.0  # always paper
-    point2 = np.zeros((2, 3))
-    point2[:, 0] = 1.0  # always rock
-    exact = matchup_value(game, point1, point2)
-    sampled = evaluate_matchup(game, point1, point2, episodes=10, rng=make_rng(0))
-    assert sampled == exact
-
-
-def test_monte_carlo_matchup_close_to_dp():
-    game = make_rps(RpsParams(1))
-    policy = uniform_policy(game)
-    sampled = evaluate_matchup(game, policy.p1, policy.p2, episodes=20_000,
-                               rng=make_rng(8))
-    assert sampled == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
 def random_joint(rng, game):
@@ -220,7 +201,7 @@ def assert_policies_earn_their_values(game, ne, p1, p2):
 def test_acyclic_kernel_matches_independent_oracles(seed, states, a1, a2, support, gamma):
     # one backward pass over the level slices equals the tree recursion for
     # the equilibrium and a dense linear solve for a fixed joint policy
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     game = random_acyclic_game(rng, states, a1, a2, support, gamma)
     ne = solve_ne(game)
     assert ne.residual == 0.0
@@ -230,7 +211,7 @@ def test_acyclic_kernel_matches_independent_oracles(seed, states, a1, a2, suppor
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cyclic_kernel_policies_earn_their_values(seed):
-    rng = make_rng(100 + seed)
+    rng = np.random.default_rng(100 + seed)
     game = random_game(rng, states=6, a1=3, a2=2, gamma=0.9, branching=3)
     assert game.levels is None
     assert_policies_earn_their_values(game, solve_ne(game), *random_joint(rng, game))
@@ -244,7 +225,7 @@ def _bits(x) -> bytes:
 def test_solve_ne_is_the_per_state_dynamic_program_bit_for_bit(seed):
     # the stacked stage-game solves change no bit of the equilibrium, on
     # value iteration (cyclic) and on one backward pass (acyclic)
-    rng = make_rng(200 + seed)
+    rng = np.random.default_rng(200 + seed)
     cyclic = random_game(rng, states=8, a1=3, a2=3, gamma=0.9, branching=3)
     acyclic = random_acyclic_game(rng, states=12, a1=3, a2=3, support=2)
     assert cyclic.levels is None and acyclic.levels is not None

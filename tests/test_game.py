@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgamelab import (GameSpec, Policy, RpsParams, make_rng, make_rps,
-                        rollout, sample_initial, solve_ne, subgame_of,
-                        uniform_policy)
+from subgamelab import (Policy, RpsParams, make_rps, rollout, sample_initial,
+                        solve_ne, uniform_policy)
 
-from oracles import random_acyclic_game, random_game, tree_maximin_values
+from oracles import dense_game, random_acyclic_game, random_game, tree_maximin_values
 
 
 def two_state_chain():
@@ -18,7 +17,7 @@ def two_state_chain():
     dense[0, 0, 0, 1] = 1.0
     dense[1, 0, 0, 2] = 1.0
     reward1 = np.array([[[0.5]], [[-0.25]]])
-    return GameSpec.from_dense(dense, reward1, 1.0, np.array([1.0, 0.0]))
+    return dense_game(dense, reward1, 1.0, np.array([1.0, 0.0]))
 
 
 def looping_rps1():
@@ -45,36 +44,18 @@ def test_validation_catches_bad_specs():
         dataclasses.replace(good, features=np.full((2, 1), 1.5))
 
 
-def test_subgame_is_point_mass_and_idempotent():
-    game = make_rps(RpsParams(3))
-    sub = subgame_of(game, 2)
-    assert sub.initial_dist.tolist() == [0.0, 0.0, 1.0]
-    assert np.array_equal(sub.reward1, game.reward1)
-    again = subgame_of(sub, 2)
-    assert np.array_equal(again.initial_dist, sub.initial_dist)
-
-
-def test_subgame_rejects_invalid_starts():
-    game = make_rps(RpsParams(3))
-    with pytest.raises(ValueError):
-        subgame_of(game, 3)  # the terminal marker
-    with pytest.raises(ValueError):
-        subgame_of(game, -1)
-
-
 def test_subgame_value_matches_analytic_recursion():
     # V*(s_k) = 3**(k-n); cross-checked with the support-enumeration tree
     game = make_rps(RpsParams(3))
-    sub = subgame_of(game, 2)
-    ne = solve_ne(sub)
+    ne = solve_ne(game)
     assert ne.v_star[0, 2] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    np.testing.assert_allclose(ne.v_star[0], tree_maximin_values(sub), atol=1e-9)
+    np.testing.assert_allclose(ne.v_star[0], tree_maximin_values(game), atol=1e-9)
 
 
 def test_rollout_deterministic_chain():
     game = two_state_chain()
     policy = uniform_policy(game)
-    traj = rollout(game, policy, 0, make_rng(0), max_steps=10)
+    traj = rollout(game, policy, 0, np.random.default_rng(0), max_steps=10)
     assert [(t.state, t.next_state, t.reward1, t.terminal) for t in traj] == [
         (0, 1, 0.5, False), (1, 2, -0.25, True)]
 
@@ -82,8 +63,8 @@ def test_rollout_deterministic_chain():
 def test_rollout_is_bit_reproducible():
     game = make_rps(RpsParams(4))
     policy = uniform_policy(game)
-    t1 = rollout(game, policy, 0, make_rng(123), max_steps=50)
-    t2 = rollout(game, policy, 0, make_rng(123), max_steps=50)
+    t1 = rollout(game, policy, 0, np.random.default_rng(123), max_steps=50)
+    t2 = rollout(game, policy, 0, np.random.default_rng(123), max_steps=50)
     assert t1 == t2
 
 
@@ -91,15 +72,15 @@ def test_rollout_rejects_bad_arguments():
     game = make_rps(RpsParams(2))
     policy = uniform_policy(game)
     with pytest.raises(ValueError):
-        rollout(game, policy, 2, make_rng(0), max_steps=5)
+        rollout(game, policy, 2, np.random.default_rng(0), max_steps=5)
     with pytest.raises(ValueError):
-        rollout(game, policy, 0, make_rng(0), max_steps=0)
+        rollout(game, policy, 0, np.random.default_rng(0), max_steps=0)
 
 
 def test_rps1_uniform_win_rate_one_third():
     game = make_rps(RpsParams(1))
     policy = uniform_policy(game)
-    rng = make_rng(42)
+    rng = np.random.default_rng(42)
     wins = sum(rollout(game, policy, 0, rng, 1)[0].reward1 for _ in range(100_000))
     assert wins / 100_000 == pytest.approx(1.0 / 3.0, abs=0.01)
 
@@ -107,7 +88,7 @@ def test_rps1_uniform_win_rate_one_third():
 def test_unbounded_variant_mean_episode_length():
     game = looping_rps1()
     policy = uniform_policy(game)
-    rng = make_rng(7)
+    rng = np.random.default_rng(7)
     total = sum(len(rollout(game, policy, 0, rng, max_steps=50))
                 for _ in range(100_000))
     assert total / 100_000 == pytest.approx(1.5, abs=0.05)
@@ -115,7 +96,7 @@ def test_unbounded_variant_mean_episode_length():
 
 def test_sample_initial_point_mass_and_default():
     chain = two_state_chain()
-    rng = make_rng(0)
+    rng = np.random.default_rng(0)
     assert all(sample_initial(chain, rng) == 0 for _ in range(100))
     game = make_rps(RpsParams(5))
     assert all(sample_initial(game, rng) == 0 for _ in range(100))
@@ -123,7 +104,7 @@ def test_sample_initial_point_mass_and_default():
 
 def test_sample_initial_frequencies_within_3_sigma():
     game = dataclasses.replace(two_state_chain(), initial_dist=np.array([0.25, 0.75]))
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     draws = 10_000
     ones = sum(sample_initial(game, rng) for _ in range(draws))
     sigma = np.sqrt(draws * 0.75 * 0.25)
@@ -137,10 +118,9 @@ def test_transition_frequencies_match_kernel():
     dense[0, 0, 0, 2] = 0.7
     dense[1, 0, 0, 3] = 1.0
     dense[2, 0, 0, 3] = 1.0
-    game = GameSpec.from_dense(dense, np.zeros((3, 1, 1)), 1.0,
-                               np.array([1.0, 0.0, 0.0]))
+    game = dense_game(dense, np.zeros((3, 1, 1)), 1.0, np.array([1.0, 0.0, 0.0]))
     policy = uniform_policy(game)
-    rng = make_rng(9)
+    rng = np.random.default_rng(9)
     steps = 100_000
     hits = sum(rollout(game, policy, 0, rng, 1)[0].next_state == 1
                for _ in range(steps))
@@ -159,7 +139,7 @@ def test_policy_validation():
 @given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 30),
        support=st.integers(1, 3))
 def test_levels_partition_states_below_their_successors(seed, states, support):
-    game = random_acyclic_game(make_rng(seed), states, 2, 2, support)
+    game = random_acyclic_game(np.random.default_rng(seed), states, 2, 2, support)
     levels = game.levels
     assert sorted(i for s in levels for i in range(game.state_count)[s]) == list(
         range(game.state_count))
@@ -174,4 +154,4 @@ def test_levels_partition_states_below_their_successors(seed, states, support):
 def test_levels_of_built_in_and_cyclic_games():
     assert make_rps(RpsParams(3)).levels == [slice(2, 3), slice(1, 2), slice(0, 1)]
     assert looping_rps1().levels is None
-    assert random_game(make_rng(2), states=5).levels is None
+    assert random_game(np.random.default_rng(2), states=5).levels is None

@@ -204,6 +204,30 @@ def test_parse_config_collects_all_errors():
     assert "requires rps_n" in message
 
 
+def test_parse_config_reports_range_errors_with_the_rest():
+    # each part's own range check joins the parse errors: one report, all four
+    with pytest.raises(ValueError) as err:
+        parse_config("""
+        env = rps
+        rps_n = 2
+        method = sacl
+        lr_decay = 2
+        alpha_bias = -1
+        p = 3
+        capacity_k = 0
+        """)
+    problems = str(err.value).splitlines()[1:]
+    assert len(problems) == 4
+    for fragment in ("lr_decay must be", "alpha_bias must be", "p must lie",
+                     "capacity_k must be"):
+        assert sum(fragment in line for line in problems) == 1
+
+
+def test_parse_config_leaves_defaults_to_the_dataclasses():
+    cfg = parse_config("env = rps\nrps_n = 2\nmethod = sacl\n")
+    assert cfg == RunConfig(env="rps", env_params={"rps_n": 2}, method="sacl")
+
+
 def test_parse_config_grid_requirements():
     with pytest.raises(ValueError) as err:
         parse_config("env = grid_pursuit\nmethod = self_play\n")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subgamelab import (GridPursuitParams, Learner, LearnerConfig, QTable, RpsParams,
                         RunConfig, Transition, exploration_policy, make_grid_pursuit,
-                        make_rng, make_rps, minimax_q_update, q_error, run_experiment,
+                        make_rps, minimax_q_update, q_error, run_experiment,
                         samples_to_converge, solve_ne, values_from_q)
 from subgamelab import learner as learner_module
 from subgamelab.envs import RPS_WINS
@@ -99,7 +99,7 @@ def test_exploration_policy_mixture_frequencies():
     policy = exploration_policy(q, LearnerConfig(epsilon=0.5))
     expected = 0.5 * np.ones(3) / 3 + 0.5 * np.array([0.0, 1.0, 0.0])
     np.testing.assert_allclose(policy.p1[0], expected, atol=1e-12)
-    rng = make_rng(2)
+    rng = np.random.default_rng(2)
     draws = 10_000
     counts = np.bincount(
         [np.searchsorted(np.cumsum(policy.p1[0]), rng.random(), side="right")
@@ -122,7 +122,7 @@ def test_values_from_q_zero_and_exact():
 
 def test_values_from_q_matches_support_enumeration():
     game = rps_game(2)
-    rng = make_rng(17)
+    rng = np.random.default_rng(17)
     q = QTable.zeros(game)
     q.q[:] = rng.uniform(-1, 1, size=q.q.shape)
     vt = values_from_q(q)
@@ -167,7 +167,7 @@ def test_player_symmetry_under_shared_stream():
     game = rps_game(2)
     q = QTable.zeros(game)
     cfg = LearnerConfig(lr=1.0, lr_decay="visit_count")
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     for _ in range(300):
         s = int(rng.integers(0, 2))
         a1, a2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
@@ -236,7 +236,7 @@ GAMES = {"rps3": rps_game(3), "grid": make_grid_pursuit(GridPursuitParams(2, 2, 
 def test_values_from_q_refreshes_written_rows_exactly(game, seed, batches, lr, decay):
     # after each batch, the dirty-mask refresh equals a fresh table's full solve
     game = GAMES[game]
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     q = QTable.zeros(game)
     cfg = LearnerConfig(lr=lr, lr_decay=decay)
     for size in batches:
@@ -248,8 +248,8 @@ def test_values_from_q_refreshes_written_rows_exactly(game, seed, batches, lr, d
 
 # non-square cyclic games; every state of both has a self-loop
 REFERENCE_GAMES = {**GAMES,
-                   "cyclic2x3": random_game(make_rng(5), states=4, a1=2, a2=3, branching=3),
-                   "cyclic3x2": random_game(make_rng(6), states=5, a1=3, a2=2, branching=3)}
+                   "cyclic2x3": random_game(np.random.default_rng(5), states=4, a1=2, a2=3, branching=3),
+                   "cyclic3x2": random_game(np.random.default_rng(6), states=5, a1=3, a2=2, branching=3)}
 READS = ("values", "greedy", "explore")
 
 
@@ -261,7 +261,7 @@ READS = ("values", "greedy", "explore")
 def test_stage_store_matches_dict_cache_reference(game, seed, batches, lr, decay):
     # same Q-tables, values and policies, bit for bit, whatever reads fall between writes
     game = REFERENCE_GAMES[game]
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     q, ref = QTable.zeros(game), DictCacheQTable(game)
     cfg = LearnerConfig(lr=lr, lr_decay=decay)
 
@@ -333,7 +333,7 @@ def count_policy_builds(monkeypatch):
 def test_uniform_exploration_policy_is_built_once(monkeypatch):
     builds = count_policy_builds(monkeypatch)
     game = rps_game(3)
-    lr = Learner(game, LearnerConfig(lr=1.0, lr_decay=None, epsilon=1.0), make_rng(0))
+    lr = Learner(game, LearnerConfig(lr=1.0, lr_decay=None, epsilon=1.0), np.random.default_rng(0))
     for _ in range(200):
         lr.run_episode(0, 10)
     assert lr.qtable.q.any()  # rows were written, yet the policy stands
@@ -344,7 +344,7 @@ def test_mixed_exploration_policy_rebuilt_after_a_write(monkeypatch):
     builds = count_policy_builds(monkeypatch)
     game = rps_game(3)
     cfg = LearnerConfig(lr=1.0, lr_decay=None, epsilon=0.5, batch_size=1)
-    lr = Learner(game, cfg, make_rng(0))
+    lr = Learner(game, cfg, np.random.default_rng(0))
     episodes = 0
     while not lr.qtable.q.any():
         lr.run_episode(0, 10)

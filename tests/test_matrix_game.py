@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subgamelab import best_response_value, solve, solve_stack
+from subgamelab import solve, solve_stack
 
 from oracles import support_enumeration_value
 
@@ -89,30 +89,15 @@ def test_constant_shift_moves_value_exactly():
         assert np.array_equal(shifted.col_strategy, base.col_strategy)
 
 
-def test_best_response_row_against_rock():
-    value, action = best_response_value(RPS, np.array([1.0, 0.0, 0.0]), "row")
-    assert value == 1.0
-    assert action == 1  # paper
-
-
 def test_best_response_at_least_game_value():
     rng = np.random.default_rng(13)
     for _ in range(50):
         payoff = rng.uniform(-1.0, 1.0, size=(rng.integers(1, 5), rng.integers(1, 5)))
         sol = solve(payoff)
-        row_value, _ = best_response_value(payoff, sol.col_strategy, "row")
-        col_value, _ = best_response_value(payoff, sol.row_strategy, "col")
+        row_value = max(payoff @ sol.col_strategy)  # the row player's best pure reply
+        col_value = max(-(sol.row_strategy @ payoff))  # the column player's
         assert row_value >= sol.value - 1e-9
         assert col_value >= -sol.value - 1e-9
-
-
-def test_best_response_degenerate_and_errors():
-    value, action = best_response_value([[0.5]], np.array([1.0]), "row")
-    assert (value, action) == (0.5, 0)
-    with pytest.raises(ValueError):
-        best_response_value(RPS, np.array([0.5, 0.5]), "row")
-    with pytest.raises(ValueError):
-        best_response_value(RPS, np.array([1.0, 0.0, 0.0]), "diagonal")
 
 
 def _bits(x) -> bytes:

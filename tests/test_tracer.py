@@ -9,10 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from subgamelab import (Learner, LearnerConfig, RpsParams, curriculum, learner,
-                        make_rng, make_rps)
+from subgamelab import Learner, LearnerConfig, RpsParams, curriculum, learner, make_rps
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,7 +42,7 @@ def package_bindings(tracer_module):
 
 def train_a_little():
     lr = Learner(make_rps(RpsParams(2)),
-                 LearnerConfig(lr=1.0, lr_decay=None, epsilon=0.5), make_rng(0))
+                 LearnerConfig(lr=1.0, lr_decay=None, epsilon=0.5), np.random.default_rng(0))
     for _ in range(5):
         lr.run_episode(0, 2)
     lr.values()
