@@ -7,7 +7,7 @@ from .curriculum import (MetricConfig, SamplerConfig, SamplingTable, ValueEnsemb
 from .envs import GridPursuitParams, RpsParams, build_env, make_grid_pursuit, make_rps
 from .evaluation import (ExploitabilityReport, NESolution, best_response,
                          exploitability, matchup_value, oracle_weight, solve_ne)
-from .game import (GameSpec, Policy, Rng, Transition, rollout, sample_initial,
+from .game import (Episode, GameSpec, Policy, Rng, rollout, sample_initial,
                    uniform_policy)
 from .harness import (ExperimentRecord, RecordRow, RunConfig,
                       coverage_experiment, joint_action_coverage, parse_config,
@@ -17,10 +17,10 @@ from .learner import (Learner, LearnerConfig, QTable, exploration_policy,
 from .matrix_game import MatrixSolution, solve, solve_stack
 
 __all__ = [
-    "ExperimentRecord", "ExploitabilityReport", "GameSpec", "GridPursuitParams",
-    "Learner", "LearnerConfig", "MatrixSolution", "MetricConfig", "NESolution",
-    "Policy", "QTable", "RecordRow", "Rng", "RpsParams", "RunConfig",
-    "SamplerConfig", "SamplingTable", "Transition", "ValueEnsemble",
+    "Episode", "ExperimentRecord", "ExploitabilityReport", "GameSpec",
+    "GridPursuitParams", "Learner", "LearnerConfig", "MatrixSolution",
+    "MetricConfig", "NESolution", "Policy", "QTable", "RecordRow", "Rng",
+    "RpsParams", "RunConfig", "SamplerConfig", "SamplingTable", "ValueEnsemble",
     "WeightedStateBuffer", "best_response", "buffer_insert", "build_env",
     "compute_weight", "compute_weights", "coverage_experiment", "curriculum_epoch",
     "exploitability", "exploration_policy", "fps_prune", "joint_action_coverage",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameSpec, Rng, Transition, _draw, sample_initial
+from .game import GameSpec, Rng, _draw, sample_initial
 from .learner import Learner
 
 METRIC_VARIANTS = ("full", "uniform", "bias_only", "variance_only", "td_error")
@@ -90,15 +90,18 @@ def _member_rows(values: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
-                    td_context: Sequence[Transition] | None = None,
+                    td_context: tuple[Sequence[float], Sequence[int]] | None = None,
                     discount: float = 1.0) -> np.ndarray:
     """Sampling weights of ``states`` under the configured metric variant.
 
     full: alpha_bias * (mean checkpoint difference)^2 plus the population
     variance of the current member values. bias_only / variance_only keep
     the respective term alone; uniform is constant 1; td_error uses
-    |r + discount * V(s') - V(s)| from ``td_context[i]``, a transition taken
-    at ``states[i]``, with player 1's mean value. Always non-negative.
+    |r + discount * V(s') - V(s)| with player 1's mean value, where
+    ``td_context`` is a pair (rewards, next states) holding the reward r
+    and successor s' of a step taken at each of ``states``; a successor
+    equal to the state count is terminal and contributes zero. Always
+    non-negative.
 
     Every term reduces one state's member values along a contiguous last
     axis, as the 1-D ``np.mean``/``np.var`` do, so each weight is bit for bit
@@ -109,15 +112,18 @@ def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
         return np.ones(states.size)
     if cfg.variant == "td_error":
         if td_context is None:
-            raise ValueError("td_error variant needs the transition at each state")
-        if [tr.state for tr in td_context] != states.tolist():
-            raise ValueError("td_context must be transitions taken at these states")
+            raise ValueError("td_error variant needs each state's reward and next state")
+        reward = np.asarray(td_context[0], dtype=np.float64)
+        nxt = np.asarray(td_context[1], dtype=np.int64)
+        if reward.shape != states.shape or nxt.shape != states.shape:
+            raise ValueError("td_context must hold one reward and one next state per state")
         v1 = ens.current[:, 0, :]
+        if nxt.size and (nxt.min() < 0 or nxt.max() > v1.shape[1]):
+            raise ValueError("td_context next states must lie in [0, state count]")
+        terminal = nxt == v1.shape[1]
         v_here = np.ascontiguousarray(v1[:, states].T).mean(axis=-1)
-        nxt = [0 if tr.terminal else tr.next_state for tr in td_context]
-        v_next = np.ascontiguousarray(v1[:, nxt].T).mean(axis=-1)
-        v_next[[tr.terminal for tr in td_context]] = 0.0
-        reward = np.array([tr.reward1 for tr in td_context], dtype=np.float64)
+        v_next = np.ascontiguousarray(v1[:, np.where(terminal, 0, nxt)].T).mean(axis=-1)
+        v_next[terminal] = 0.0
         return np.abs(reward + discount * v_next - v_here)
     cur = _member_rows(ens.current, states)
     if cfg.variant == "variance_only":
@@ -132,10 +138,13 @@ def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
 
 
 def compute_weight(state: int, ens: ValueEnsemble, cfg: MetricConfig,
-                   td_context: Transition | None = None,
+                   td_context: tuple[float, int] | None = None,
                    discount: float = 1.0) -> float:
-    """Sampling weight of one state; :func:`compute_weights` for one entry."""
-    td = None if td_context is None else [td_context]
+    """Sampling weight of one state; :func:`compute_weights` for one entry.
+
+    ``td_context`` is the (reward, next state) pair of a step taken there.
+    """
+    td = None if td_context is None else ([td_context[0]], [td_context[1]])
     return float(compute_weights([state], ens, cfg, td_context=td, discount=discount)[0])
 
 
@@ -266,21 +275,21 @@ def fps_prune(buf: WeightedStateBuffer, k: int) -> WeightedStateBuffer:
 class SamplingTable:
     """The buffer's start-state draw table, built once per epoch.
 
-    ``cum`` is ``cumsum(weights / total)`` over ``states``; it is empty when
-    the buffer is empty or its weights sum to zero, and then no start is
-    drawn from the buffer.
+    ``cum`` is ``cumsum(weights / total)`` over ``states``, as a list for
+    scalar draws; it is empty when the buffer is empty or its weights sum to
+    zero, and then no start is drawn from the buffer.
     """
 
     states: np.ndarray
-    cum: np.ndarray
+    cum: list[float]
 
     @classmethod
     def of(cls, buf: WeightedStateBuffer) -> "SamplingTable":
         states, _, weights = buf.arrays()
         total = weights.sum()
         if states.size == 0 or not total > 0.0:
-            return cls(states, np.empty(0))
-        return cls(states, np.cumsum(weights / total))
+            return cls(states, [])
+        return cls(states, np.cumsum(weights / total).tolist())
 
 
 def sample_subgame(table: SamplingTable | None, game: GameSpec, cfg: SamplerConfig,
@@ -293,8 +302,8 @@ def sample_subgame(table: SamplingTable | None, game: GameSpec, cfg: SamplerConf
     back to the initial distribution without drawing the p-coin, and so does
     p=0.
     """
-    if table is not None and cfg.p > 0.0 and table.cum.size and rng.random() < cfg.p:
-        return int(table.states[_draw(table.cum, rng)])
+    if table is not None and cfg.p > 0.0 and table.cum and rng.random() < cfg.p:
+        return table.states.item(_draw(table.cum, rng))
     return sample_initial(game, rng)
 
 
@@ -320,26 +329,31 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
     if buf is not None:
         previous = np.stack([signed_values(lr.values()) for lr in learners])
         table = SamplingTable.of(buf)  # the buffer changes only at epoch end
-    visited: dict[int, Transition] = {}
+    episodes = []
     stop = False
     for lr in learners:
         for _ in range(episodes_per_epoch):
             s0 = sample_subgame(table, game, sampler_cfg, lr.rng)
-            traj = lr.run_episode(s0, max_steps)
-            for tr in traj:
-                visited[tr.state] = tr
+            ep = lr.run_episode(s0, max_steps)
+            episodes.append(ep)
             if evaluator is not None:
-                rows.extend(evaluator.after_episode(len(traj)))
+                rows.extend(evaluator.after_episode(len(ep)))
                 if evaluator.should_stop:
                     stop = True
                     break
         if stop:
             break
-    if buf is not None and visited:
+    if buf is not None and episodes:
+        visited: dict[int, tuple[float, int]] = {}  # state -> its latest (reward, next state)
+        for ep in episodes:
+            for s, r, nxt in zip(ep.states, ep.rewards1, ep.next_states):
+                visited[s] = (r, nxt)
         current = np.stack([signed_values(lr.values()) for lr in learners])
         ens = ValueEnsemble(current=current, previous=previous)
         states = sorted(visited)
-        td = [visited[s] for s in states] if metric_cfg.variant == "td_error" else None
+        td = None
+        if metric_cfg.variant == "td_error":
+            td = ([visited[s][0] for s in states], [visited[s][1] for s in states])
         weights = compute_weights(states, ens, metric_cfg, td_context=td,
                                   discount=game.discount)
         buffer_insert(buf, zip(states, weights.tolist()), game)

@@ -7,7 +7,7 @@ to a strictly larger index and backward sweeps are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -21,17 +21,27 @@ RPS_WINS = ((ROCK, SCISSORS), (PAPER, ROCK), (SCISSORS, PAPER))
 MOVES = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))  # stay, up, down, left, right
 
 
+class ConfigError(ValueError):
+    """A configuration with one or more problems, every one listed in ``problems``."""
+
+    def __init__(self, heading: str, problems: list[str]):
+        super().__init__(heading + ":\n" + "\n".join(f"- {p}" for p in problems))
+        self.problems = problems
+
+
 @dataclass(frozen=True)
 class RpsParams:
-    """Rounds of the iterated game; tabular oracles stay practical to n=12."""
+    """Rounds of the iterated game; tabular oracles stay practical to n=12.
+
+    A bad value raises :class:`ConfigError` naming the config key ``rps_n``.
+    """
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rps needs at least one round")
-        if self.n > 12:
-            raise ValueError("rps rounds capped at 12 for tabular oracles")
+        if not 1 <= self.n <= 12:
+            raise ConfigError("invalid rps parameters", [
+                f"rps_n must lie in 1..12 (tabular oracles), got {self.n}"])
 
 
 def make_rps(params: RpsParams) -> GameSpec:
@@ -62,7 +72,12 @@ def make_rps(params: RpsParams) -> GameSpec:
 
 @dataclass(frozen=True)
 class GridPursuitParams:
-    """Simultaneous-move pursuit on a width x height grid with a hard horizon."""
+    """Simultaneous-move pursuit on a width x height grid with a hard horizon.
+
+    Every bad value is reported in one :class:`ConfigError`, each problem
+    naming its config key (``grid_width``, ``grid_height``,
+    ``grid_horizon``, ``capture_reward``).
+    """
 
     width: int
     height: int
@@ -70,14 +85,20 @@ class GridPursuitParams:
     capture_reward: float = 1.0
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise ValueError("grid must be at least 2x2")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
+        problems = []
+        for key, value, least in (("grid_width", self.width, 2),
+                                  ("grid_height", self.height, 2),
+                                  ("grid_horizon", self.horizon, 1)):
+            if value < least:
+                problems.append(f"{key} must be >= {least}, got {value}")
         if not math.isfinite(self.capture_reward):
-            raise ValueError("capture_reward must be finite")
-        if (self.width * self.height) ** 2 * self.horizon > 100_000:
-            raise ValueError("grid pursuit state space too large for tabular play")
+            problems.append(f"capture_reward must be finite, got {self.capture_reward}")
+        states = (self.width * self.height) ** 2 * self.horizon
+        if not problems and states > 100_000:
+            problems.append("grid pursuit state space too large for tabular play: "
+                            f"(grid_width * grid_height)^2 * grid_horizon = {states} > 100000")
+        if problems:
+            raise ConfigError("invalid grid_pursuit parameters", problems)
 
 
 def make_grid_pursuit(params: GridPursuitParams) -> GameSpec:
@@ -134,15 +155,35 @@ def make_grid_pursuit(params: GridPursuitParams) -> GameSpec:
     return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=hor)
 
 
+# flat config key -> parameter field, per environment
+ENV_KEYS = {
+    "rps": (RpsParams, {"rps_n": "n"}),
+    "grid_pursuit": (GridPursuitParams, {"grid_width": "width", "grid_height": "height",
+                                         "grid_horizon": "horizon",
+                                         "capture_reward": "capture_reward"}),
+}
+
+
+def env_params(name: str, flat: dict) -> RpsParams | GridPursuitParams:
+    """The parameters of environment ``name`` from flat config keys.
+
+    A key left out keeps its field's default; a missing required key, or
+    any out-of-range value, raises :class:`ConfigError` listing them all.
+    """
+    if name not in ENV_KEYS:
+        raise ValueError(f"unknown environment '{name}' (expected rps or grid_pursuit)")
+    cls, keys = ENV_KEYS[name]
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    missing = [f"env {name} requires {key}" for key, field in keys.items()
+               if field in required and key not in flat]
+    if missing:
+        raise ConfigError(f"invalid {name} parameters", missing)
+    return cls(**{field: flat[key] for key, field in keys.items() if key in flat})
+
+
 def build_env(name: str, params: dict) -> GameSpec:
     """Construct a named environment from flat config parameters."""
-    if name == "rps":
-        return make_rps(RpsParams(n=int(params["rps_n"])))
-    if name == "grid_pursuit":
-        return make_grid_pursuit(GridPursuitParams(
-            width=int(params["grid_width"]),
-            height=int(params["grid_height"]),
-            horizon=int(params["grid_horizon"]),
-            capture_reward=float(params.get("capture_reward", 1.0)),
-        ))
-    raise ValueError(f"unknown environment '{name}' (expected rps or grid_pursuit)")
+    built = env_params(name, params)
+    if isinstance(built, RpsParams):
+        return make_rps(built)
+    return make_grid_pursuit(built)

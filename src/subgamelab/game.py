@@ -9,6 +9,7 @@ deterministic and stochastic kernels share one representation. Only player
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,8 +126,8 @@ class GameSpec:
         return out
 
     @cached_property
-    def initial_cdf(self) -> np.ndarray:
-        return np.cumsum(self.initial_dist)
+    def initial_cdf(self) -> list[float]:
+        return np.cumsum(self.initial_dist).tolist()
 
 
 @dataclass(frozen=True)
@@ -166,22 +167,30 @@ def uniform_policy(game: GameSpec) -> Policy:
     return Policy(np.full((s, a1), 1.0 / a1), np.full((s, a2), 1.0 / a2))
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One rollout sample: s, (a1, a2), player 1's reward, successor."""
+@dataclass(slots=True)
+class Episode:
+    """One rollout as per-step columns of plain Python scalars.
 
-    state: int
-    action1: int
-    action2: int
-    reward1: float
-    next_state: int  # equals the terminal index when terminal is set
-    terminal: bool
+    Step i was taken at ``states[i]`` under joint action
+    (``actions1[i]``, ``actions2[i]``), paid player 1 ``rewards1[i]`` and
+    moved to ``next_states[i]``; a step is terminal when its next state is
+    the game's terminal index. ``len`` is the step count.
+    """
+
+    states: list[int]
+    actions1: list[int]
+    actions2: list[int]
+    rewards1: list[float]
+    next_states: list[int]
+
+    def __len__(self) -> int:
+        return len(self.states)
 
 
-def _draw(cum: np.ndarray, rng: Rng) -> int:
-    # inverse-CDF draw; clamp guards the u ~ 1.0 rounding edge
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, cum.shape[0] - 1)
+def _draw(cum: list[float], rng: Rng) -> int:
+    # inverse-CDF draw: the index np.searchsorted(cum, u, side="right") gives;
+    # the clamp guards the u ~ 1.0 rounding edge
+    return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
 
 
 def sample_initial(game: GameSpec, rng: Rng) -> int:
@@ -190,37 +199,41 @@ def sample_initial(game: GameSpec, rng: Rng) -> int:
 
 
 def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng,
-            max_steps: int) -> list[Transition]:
+            max_steps: int) -> Episode:
     """Play one episode from ``s0`` under a fixed joint policy.
 
     The episode ends at the terminal marker or after ``max_steps`` steps,
     whichever comes first. Rewards are player 1's; player 2's are their
-    negation by construction. The sample count equals the returned length.
+    negation by construction. The sample count is ``len`` of the returned
+    :class:`Episode`.
 
-    Identical (game, policy, s0, seed) inputs reproduce the trajectory
-    bit for bit.
+    Each step draws player 1's action, player 2's action and, on a
+    stochastic kernel, the successor, in that order, each by inverse CDF
+    from one uniform. Only the rows drawn from are converted to lists, so
+    the per-step work is plain Python on scalars. Identical (game, policy,
+    s0, seed) inputs reproduce the trajectory bit for bit.
     """
     if not 0 <= s0 < game.state_count:
         raise ValueError(f"rollout start {s0} out of range")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     cum1, cum2 = policy.row_cdfs
-    deterministic = game.next_states.shape[3] == 1
-    terminal_idx = game.terminal_index
-    traj: list[Transition] = []
+    next_states, next_probs, reward1 = game.next_states, game.next_probs, game.reward1
+    deterministic = next_states.shape[3] == 1
+    terminal = game.terminal_index
+    states, actions1, actions2, rewards1, nexts = [], [], [], [], []
     s = int(s0)
     for _ in range(max_steps):
-        a1 = _draw(cum1[s], rng)
-        a2 = _draw(cum2[s], rng)
-        if deterministic:
-            nxt = int(game.next_states[s, a1, a2, 0])
-        else:
-            k = _draw(np.cumsum(game.next_probs[s, a1, a2]), rng)
-            nxt = int(game.next_states[s, a1, a2, k])
-        r = float(game.reward1[s, a1, a2])
-        done = nxt == terminal_idx
-        traj.append(Transition(s, a1, a2, r, nxt, done))
-        if done:
+        a1 = _draw(cum1[s].tolist(), rng)
+        a2 = _draw(cum2[s].tolist(), rng)
+        k = 0 if deterministic else _draw(np.cumsum(next_probs[s, a1, a2]).tolist(), rng)
+        nxt = next_states.item(s, a1, a2, k)
+        states.append(s)
+        actions1.append(a1)
+        actions2.append(a2)
+        rewards1.append(reward1.item(s, a1, a2))
+        nexts.append(nxt)
+        if nxt == terminal:
             break
         s = nxt
-    return traj
+    return Episode(states, actions1, actions2, rewards1, nexts)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .curriculum import (MetricConfig, SamplerConfig, WeightedStateBuffer,
                          curriculum_epoch)
-from .envs import build_env, make_rps, RpsParams
+from .envs import ENV_KEYS, ConfigError, RpsParams, build_env, env_params, make_rps
 from .evaluation import NESolution, exploitability, solve_ne
 from .game import GameSpec, rollout, uniform_policy
 from .learner import Learner, LearnerConfig, q_error
@@ -109,14 +109,6 @@ class RunConfig:
             raise ConfigError("invalid run config", errors)
 
 
-class ConfigError(ValueError):
-    """A configuration with one or more problems, every one listed in ``problems``."""
-
-    def __init__(self, heading: str, problems: list[str]):
-        super().__init__(heading + ":\n" + "\n".join(f"- {p}" for p in problems))
-        self.problems = problems
-
-
 class _Evaluator:
     """Fires q-error / exploitability rows on the eval_every sample grid."""
 
@@ -185,8 +177,8 @@ def _run_single(cfg: RunConfig, game: GameSpec, oracle: NESolution,
         lr = learners[0]
         while not ev.should_stop:
             s0 = order[min(pos, len(order) - 1)]
-            traj = lr.run_episode(s0, cap)
-            rows = ev.after_episode(len(traj))
+            ep = lr.run_episode(s0, cap)
+            rows = ev.after_episode(len(ep))
             while (pos < len(order)
                    and _local_q_error(lr, oracle, order[pos]) < cfg.convergence_threshold):
                 pos += 1
@@ -314,12 +306,12 @@ def coverage_experiment(n: int, seeds: int, base_seed: int = 0) -> float:
         visited = {0}
         steps = 0
         while len(visited) < n:
-            traj = rollout(game, policy, newest, rng, max_steps=n + 1)
-            for tr in traj:
+            ep = rollout(game, policy, newest, rng, max_steps=n + 1)
+            for nxt in ep.next_states:
                 steps += 1
-                if not tr.terminal and tr.next_state not in visited:
-                    visited.add(tr.next_state)
-                    newest = tr.next_state
+                if nxt != game.terminal_index and nxt not in visited:
+                    visited.add(nxt)
+                    newest = nxt
                 if len(visited) == n:
                     break
         totals.append(steps)
@@ -338,9 +330,9 @@ def joint_action_coverage(seeds: int, base_seed: int = 0) -> float:
         seen: set[tuple[int, int]] = set()
         episodes = 0
         while len(seen) < 9:
-            traj = rollout(game, policy, 0, rng, max_steps=1)
+            ep = rollout(game, policy, 0, rng, max_steps=1)
             episodes += 1
-            seen.add((traj[0].action1, traj[0].action2))
+            seen.add((ep.actions1[0], ep.actions2[0]))
         counts.append(episodes)
     return float(np.mean(counts))
 
@@ -399,13 +391,12 @@ _CONFIG_KEYS = {
     "ensemble_size": ("metric", _INT),
     "p": ("sampler", _FLOAT),
 }
-_ENV_KEYS = {"rps": ("rps_n",), "grid_pursuit": ("grid_width", "grid_height", "grid_horizon")}
 
 
-def _build(cls, kwargs: dict, errors: list[str]):
-    """``cls(**kwargs)``, or None with its problems appended to ``errors``."""
+def _build(make, kwargs: dict, errors: list[str]):
+    """``make(**kwargs)``, or None with its problems appended to ``errors``."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ConfigError as exc:
         errors.extend(exc.problems)
     except ValueError as exc:
@@ -442,13 +433,12 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             errors.append(f"key '{key}': {exc}")
 
-    run, env_params = parts["run"], parts["env_params"]
+    run, flat_env = parts["run"], parts["env_params"]
     for required in ("env", "method"):
         if required not in run:
             errors.append(f"missing required key '{required}'")
-    for key in _ENV_KEYS.get(run.get("env"), ()):
-        if key not in env_params:
-            errors.append(f"env {run['env']} requires {key}")
+    if run.get("env") in ENV_KEYS:  # an unknown env is RunConfig's problem
+        _build(env_params, {"name": run["env"], "flat": flat_env}, errors)
 
     for part, cls in (("learner", LearnerConfig), ("metric", MetricConfig),
                       ("sampler", SamplerConfig)):
@@ -459,7 +449,7 @@ def parse_config(text: str) -> RunConfig:
     if "env" in run and "method" in run:
         if run["env"] == "grid_pursuit":
             run.setdefault("eval_every", 1000)  # coarser evaluation suits the larger game
-        cfg = _build(RunConfig, {**run, "env_params": env_params}, errors)
+        cfg = _build(RunConfig, {**run, "env_params": flat_env}, errors)
     if errors:
         raise ConfigError("config errors", errors)
     return cfg

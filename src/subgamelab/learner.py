@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .game import GameSpec, Policy, Rng, Transition, rollout
+from .game import Episode, GameSpec, Policy, Rng, rollout
 from .matrix_game import solve_stack
 
 
@@ -92,9 +92,9 @@ class QTable:
 
     def stage_solution(self, player: int, state: int) -> tuple[float, np.ndarray]:
         """``player``'s maximin value and row strategy (a view) at ``state``."""
-        if self._dirty[state]:
+        if self._dirty.item(state):
             self.refresh([state])
-        return float(self._values[player, state]), self._strategies[player][state]
+        return self._values.item(player, state), self._strategies[player][state]
 
     def stage_value(self, player: int, state: int) -> float:
         return self.stage_solution(player, state)[0]
@@ -111,28 +111,33 @@ def _effective_lr(cfg: LearnerConfig, prior_visits: int) -> float:
     return cfg.lr * cfg.lr_decay**prior_visits
 
 
-def minimax_q_update(q: QTable, batch: list[Transition], cfg: LearnerConfig,
+def minimax_q_update(q: QTable, episode: Episode, cfg: LearnerConfig,
                      discount: float) -> QTable:
-    """Apply the minimax-Q backup to every sample, in order, for both players.
+    """Apply the minimax-Q backup to each step of ``episode`` in order, for both players.
 
     For player i the target is r_i plus the discounted maximin value of its
-    own stage matrix at the successor; terminal successors contribute zero.
-    The table is updated in place and returned.
+    own stage matrix at the successor (read through
+    :meth:`QTable.stage_value`); terminal successors contribute zero. The
+    loop reads the episode's columns and the tables' entries as Python
+    scalars. The table is updated in place and returned.
     """
-    for tr in batch:
-        alpha = _effective_lr(cfg, int(q.visits[tr.state, tr.action1, tr.action2]))
-        q.visits[tr.state, tr.action1, tr.action2] += 1
+    table, visits = q.q, q.visits
+    terminal = table.shape[1]  # the terminal index is the state count
+    for s, a1, a2, r, nxt in zip(episode.states, episode.actions1, episode.actions2,
+                                 episode.rewards1, episode.next_states):
+        prior = visits.item(s, a1, a2)
+        visits[s, a1, a2] = prior + 1
+        alpha = _effective_lr(cfg, prior)
         if alpha == 0.0:
             continue
-        for player in (0, 1):
-            reward = tr.reward1 if player == 0 else -tr.reward1
-            backup = 0.0 if tr.terminal else q.stage_value(player, tr.next_state)
+        for player, reward in ((0, r), (1, -r)):
+            backup = 0.0 if nxt == terminal else q.stage_value(player, nxt)
             target = reward + discount * backup
-            old = q.q[player, tr.state, tr.action1, tr.action2]
+            old = table.item(player, s, a1, a2)
             new = (1.0 - alpha) * old + alpha * target
             if new != old:
-                q.q[player, tr.state, tr.action1, tr.action2] = new
-                q.invalidate(tr.state)
+                table[player, s, a1, a2] = new
+                q.invalidate(s)
     return q
 
 
@@ -193,11 +198,11 @@ class Learner:
     def values(self) -> np.ndarray:
         return values_from_q(self.qtable)
 
-    def run_episode(self, s0: int, max_steps: int) -> list[Transition]:
-        traj = rollout(self.game, self.policy(), s0, self.rng, max_steps)
-        minimax_q_update(self.qtable, traj, self.cfg, self.game.discount)
-        self._samples_since_refresh += len(traj)
+    def run_episode(self, s0: int, max_steps: int) -> Episode:
+        episode = rollout(self.game, self.policy(), s0, self.rng, max_steps)
+        minimax_q_update(self.qtable, episode, self.cfg, self.game.discount)
+        self._samples_since_refresh += len(episode)
         # at epsilon=1 the policy is uniform whatever the tables hold
         if self.cfg.epsilon < 1.0 and self._samples_since_refresh >= self.cfg.batch_size:
             self._policy = None  # stale; rebuilt lazily from the updated tables
-        return traj
+        return episode

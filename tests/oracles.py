@@ -8,15 +8,18 @@ simpler forms of package code as references for faster ones:
 dynamic program with one ``solve`` call per state, the reference for the
 stacked kernel, and ``DictCacheQTable`` with its three functions is the
 minimax-Q learner with a dict of per-(player, state) ``solve`` results, the
-reference for the learner's per-state stage store. ``dense_game`` builds
-small hand-written games from a dense transition tensor.
+reference for the learner's per-state stage store, and ``reference_rollout``
+is the episode loop with ``np.searchsorted`` draws and one tuple per step,
+the reference for the scalar ``rollout``. ``dense_game`` builds small
+hand-written games from a dense transition tensor; ``episode_of`` and
+``steps_of`` convert between an ``Episode`` and its per-step tuples.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from subgamelab import GameSpec, Policy, solve
+from subgamelab import Episode, GameSpec, Policy, solve
 
 
 def support_enumeration_value(payoff, tol=1e-9):
@@ -245,31 +248,32 @@ class DictCacheQTable:
         self.dirty[state] = True
 
 
-def dict_cache_minimax_q_update(q: DictCacheQTable, batch, cfg, discount):
-    """The minimax-Q backup of every sample, in order, for both players."""
-    for tr in batch:
-        prior = int(q.visits[tr.state, tr.action1, tr.action2])
+def dict_cache_minimax_q_update(q: DictCacheQTable, episode: Episode, cfg, discount):
+    """The minimax-Q backup of every step, in order, for both players."""
+    terminal = q.q.shape[1]
+    for s, a1, a2, r, nxt in steps_of(episode):
+        prior = int(q.visits[s, a1, a2])
         if cfg.lr_decay is None:
             alpha = cfg.lr
         elif cfg.lr_decay == "visit_count":
             alpha = cfg.lr / (1.0 + prior)
         else:
             alpha = cfg.lr * cfg.lr_decay**prior
-        q.visits[tr.state, tr.action1, tr.action2] += 1
+        q.visits[s, a1, a2] += 1
         if alpha == 0.0:
             continue
         changed = False
         for player in (0, 1):
-            reward = tr.reward1 if player == 0 else -tr.reward1
-            backup = 0.0 if tr.terminal else q.stage_solution(player, tr.next_state).value
+            reward = r if player == 0 else -r
+            backup = 0.0 if nxt == terminal else q.stage_solution(player, nxt).value
             target = reward + discount * backup
-            old = q.q[player, tr.state, tr.action1, tr.action2]
+            old = q.q[player, s, a1, a2]
             new = (1.0 - alpha) * old + alpha * target
             if new != old:
-                q.q[player, tr.state, tr.action1, tr.action2] = new
+                q.q[player, s, a1, a2] = new
                 changed = True
         if changed:
-            q.invalidate(tr.state)
+            q.invalidate(s)
     return q
 
 
@@ -292,3 +296,49 @@ def dict_cache_values_from_q(q: DictCacheQTable) -> np.ndarray:
         q.values[1, s] = q.stage_solution(1, s).value
     q.dirty[:] = False
     return q.values.copy()
+
+
+def episode_of(steps) -> Episode:
+    """An Episode from (state, action1, action2, reward1, next_state) tuples."""
+    columns = [list(c) for c in zip(*steps)] if steps else [[] for _ in range(5)]
+    return Episode(*columns)
+
+
+def steps_of(episode: Episode) -> list[tuple]:
+    """The (state, action1, action2, reward1, next_state) tuple of each step."""
+    return list(zip(episode.states, episode.actions1, episode.actions2,
+                    episode.rewards1, episode.next_states))
+
+
+def searchsorted_draw(cum: np.ndarray, rng) -> int:
+    """Inverse-CDF draw with ``np.searchsorted``, clamped to the last index."""
+    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    return min(idx, cum.shape[0] - 1)
+
+
+def reference_rollout(game: GameSpec, policy: Policy, s0: int, rng,
+                      max_steps: int) -> list[tuple]:
+    """One episode as (state, action1, action2, reward1, next_state, terminal) tuples.
+
+    Draws player 1's action, player 2's action and, on a stochastic kernel,
+    the successor from the numpy CDF rows, one uniform each.
+    """
+    cum1, cum2 = np.cumsum(policy.p1, axis=1), np.cumsum(policy.p2, axis=1)
+    deterministic = game.next_states.shape[3] == 1
+    traj = []
+    s = int(s0)
+    for _ in range(max_steps):
+        a1 = searchsorted_draw(cum1[s], rng)
+        a2 = searchsorted_draw(cum2[s], rng)
+        if deterministic:
+            nxt = int(game.next_states[s, a1, a2, 0])
+        else:
+            k = searchsorted_draw(np.cumsum(game.next_probs[s, a1, a2]), rng)
+            nxt = int(game.next_states[s, a1, a2, k])
+        r = float(game.reward1[s, a1, a2])
+        done = nxt == game.terminal_index
+        traj.append((s, a1, a2, r, nxt, done))
+        if done:
+            break
+        s = nxt
+    return traj

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from subgamelab import (GridPursuitParams, LearnerConfig, MetricConfig, Policy,
-                        RpsParams, RunConfig, SamplerConfig, Transition,
-                        ValueEnsemble, WeightedStateBuffer, compute_weight,
+                        RpsParams, RunConfig, SamplerConfig, ValueEnsemble,
+                        WeightedStateBuffer, compute_weight,
                         coverage_experiment, exploitability, fps_prune,
                         joint_action_coverage, make_grid_pursuit, make_rps,
                         oracle_weight, replicate_fig2, run_experiment,
@@ -216,11 +216,11 @@ def test_criterion_8_metric_identities():
         s = int(rng.integers(0, 4))
         terminal = bool(rng.integers(2))
         nxt = 4 if terminal else int(rng.integers(0, 4))
-        tr = Transition(s, 0, 0, float(rng.uniform(-2, 2)), nxt, terminal)
+        step = (float(rng.uniform(-2, 2)), nxt)
         for variant in ("full", "uniform", "bias_only", "variance_only", "td_error"):
             cfg = MetricConfig(alpha_bias=float(rng.uniform(0, 2)), variant=variant)
             weight = compute_weight(s, ens, cfg,
-                                    td_context=tr if variant == "td_error" else None,
+                                    td_context=step if variant == "td_error" else None,
                                     discount=0.9)
             if weight < 0.0:
                 negative += 1

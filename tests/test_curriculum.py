@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subgamelab import (GridPursuitParams, Learner, LearnerConfig, MetricConfig,
                         RpsParams, RunConfig, SamplerConfig, SamplingTable,
-                        Transition, ValueEnsemble, WeightedStateBuffer,
+                        ValueEnsemble, WeightedStateBuffer,
                         buffer_insert, compute_weight, compute_weights,
                         curriculum_epoch, fps_prune, make_grid_pursuit,
                         make_rps, oracle_weight, run_experiment,
@@ -43,8 +43,8 @@ def test_weight_hand_computed_example():
 def test_weight_td_error_variant():
     ens = ensemble([[[0.0, 1.0 / 3.0], [0.0, 1.0 / 3.0]]])
     cfg = MetricConfig(variant="td_error")
-    tr = Transition(0, 0, 0, 0.0, 1, False)
-    assert compute_weight(0, ens, cfg, td_context=tr, discount=1.0) == pytest.approx(
+    step = (0.0, 1)  # reward 0, on to state 1
+    assert compute_weight(0, ens, cfg, td_context=step, discount=1.0) == pytest.approx(
         1.0 / 3.0, abs=1e-12)
     with pytest.raises(ValueError):
         compute_weight(0, ens, cfg)
@@ -58,10 +58,10 @@ def test_weight_nonnegative_on_random_inputs():
         prev = rng.uniform(-2, 2, size=(m, 2, 3))
         ens = ValueEnsemble(current=cur, previous=prev)
         s = int(rng.integers(0, 3))
-        tr = Transition(s, 0, 0, float(rng.uniform(-1, 1)), 3, True)
+        step = (float(rng.uniform(-1, 1)), 3)  # a terminal step
         for variant in ("full", "uniform", "bias_only", "variance_only", "td_error"):
             cfg = MetricConfig(alpha_bias=float(rng.uniform(0, 2)), variant=variant)
-            td = tr if variant == "td_error" else None
+            td = step if variant == "td_error" else None
             assert compute_weight(s, ens, cfg, td_context=td) >= 0.0
 
 
@@ -302,14 +302,18 @@ def test_metric_config_validation():
 # it replaced; every comparison is exact
 
 def reference_weight(state, ens, cfg, td_context=None, discount=1.0):
-    """One state's weight, computed the way the per-state formula did."""
+    """One state's weight, computed the way the per-state formula did.
+
+    ``td_context`` is the (reward, next state) pair of a step at ``state``.
+    """
     if cfg.variant == "uniform":
         return 1.0
     if cfg.variant == "td_error":
+        reward, nxt = td_context
         v1 = ens.current[:, 0, :]
-        v_here = float(v1[:, td_context.state].mean())
-        v_next = 0.0 if td_context.terminal else float(v1[:, td_context.next_state].mean())
-        return abs(td_context.reward1 + discount * v_next - v_here)
+        v_here = float(v1[:, state].mean())
+        v_next = 0.0 if nxt == v1.shape[1] else float(v1[:, nxt].mean())
+        return abs(reward + discount * v_next - v_here)
     cur = ens.current[:, :, state].ravel()
     prev = ens.previous[:, :, state].ravel()
     if cfg.variant == "variance_only":
@@ -346,22 +350,24 @@ def reference_sample(entries, game, p, rng):
 
 
 def random_td_contexts(rng, states, s_count):
+    """A (reward, next state) pair per state; next state ``s_count`` is terminal."""
     out = []
-    for s in states:
+    for _ in states:
         terminal = bool(rng.integers(2))
         nxt = s_count if terminal else int(rng.integers(0, s_count))
-        out.append(Transition(int(s), 0, 0, float(rng.uniform(-2, 2)), nxt, terminal))
+        out.append((float(rng.uniform(-2, 2)), nxt))
     return out
 
 
 def assert_weights_match_reference(states, ens, cfg, td, discount, scalar=True):
-    weights = compute_weights(states, ens, cfg, td_context=td, discount=discount)
+    columns = None if td is None else ([r for r, _ in td], [nxt for _, nxt in td])
+    weights = compute_weights(states, ens, cfg, td_context=columns, discount=discount)
     contexts = td if td is not None else [None] * len(states)
-    assert weights.tolist() == [reference_weight(s, ens, cfg, tr, discount)
-                                for s, tr in zip(states, contexts)]
+    assert weights.tolist() == [reference_weight(s, ens, cfg, step, discount)
+                                for s, step in zip(states, contexts)]
     if scalar:
-        assert weights.tolist() == [compute_weight(s, ens, cfg, tr, discount)
-                                    for s, tr in zip(states, contexts)]
+        assert weights.tolist() == [compute_weight(s, ens, cfg, step, discount)
+                                    for s, step in zip(states, contexts)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,8 +408,12 @@ def test_compute_weights_checks_td_contexts():
     cfg = MetricConfig(variant="td_error")
     with pytest.raises(ValueError):
         compute_weights([0, 1], ens, cfg)
+    with pytest.raises(ValueError):  # one step for two states
+        compute_weights([0, 1], ens, cfg, td_context=([0.0], [2]))
+    with pytest.raises(ValueError):  # state 3 is past the terminal index 2
+        compute_weights([0, 1], ens, cfg, td_context=([0.0, 0.0], [2, 3]))
     with pytest.raises(ValueError):
-        compute_weights([0, 1], ens, cfg, td_context=[Transition(1, 0, 0, 0.0, 2, True)] * 2)
+        compute_weights([0, 1], ens, cfg, td_context=([0.0, 0.0], [-1, 2]))
 
 
 GRID = make_grid_pursuit(GridPursuitParams(3, 3, 4))  # 288 states

@@ -125,6 +125,13 @@ def test_grid_rejects_intractable_and_tiny_sizes():
         GridPursuitParams(10, 10, 20)
 
 
+def test_grid_params_report_every_problem_together():
+    with pytest.raises(ValueError) as err:
+        GridPursuitParams(1, 1, 0, capture_reward=float("inf"))
+    assert [p.split(" must")[0] for p in err.value.problems] == [
+        "grid_width", "grid_height", "grid_horizon", "capture_reward"]
+
+
 def test_build_env_dispatch():
     assert build_env("rps", {"rps_n": 2}).state_count == 2
     grid = build_env("grid_pursuit", {"grid_width": 2, "grid_height": 2,

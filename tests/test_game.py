@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgamelab import (Policy, RpsParams, make_rps, rollout, sample_initial,
-                        solve_ne, uniform_policy)
+from subgamelab import (GridPursuitParams, Policy, RpsParams, make_grid_pursuit, make_rps,
+                        rollout, sample_initial, solve_ne, uniform_policy)
+from subgamelab.game import _draw
 
-from oracles import dense_game, random_acyclic_game, random_game, tree_maximin_values
+from oracles import (dense_game, random_acyclic_game, random_game, reference_rollout,
+                     searchsorted_draw, steps_of, tree_maximin_values)
 
 
 def two_state_chain():
@@ -55,9 +57,9 @@ def test_subgame_value_matches_analytic_recursion():
 def test_rollout_deterministic_chain():
     game = two_state_chain()
     policy = uniform_policy(game)
-    traj = rollout(game, policy, 0, np.random.default_rng(0), max_steps=10)
-    assert [(t.state, t.next_state, t.reward1, t.terminal) for t in traj] == [
-        (0, 1, 0.5, False), (1, 2, -0.25, True)]
+    ep = rollout(game, policy, 0, np.random.default_rng(0), max_steps=10)
+    assert len(ep) == 2
+    assert steps_of(ep) == [(0, 0, 0, 0.5, 1), (1, 0, 0, -0.25, 2)]  # 2 is terminal
 
 
 def test_rollout_is_bit_reproducible():
@@ -81,7 +83,7 @@ def test_rps1_uniform_win_rate_one_third():
     game = make_rps(RpsParams(1))
     policy = uniform_policy(game)
     rng = np.random.default_rng(42)
-    wins = sum(rollout(game, policy, 0, rng, 1)[0].reward1 for _ in range(100_000))
+    wins = sum(rollout(game, policy, 0, rng, 1).rewards1[0] for _ in range(100_000))
     assert wins / 100_000 == pytest.approx(1.0 / 3.0, abs=0.01)
 
 
@@ -122,7 +124,7 @@ def test_transition_frequencies_match_kernel():
     policy = uniform_policy(game)
     rng = np.random.default_rng(9)
     steps = 100_000
-    hits = sum(rollout(game, policy, 0, rng, 1)[0].next_state == 1
+    hits = sum(rollout(game, policy, 0, rng, 1).next_states[0] == 1
                for _ in range(steps))
     sigma = np.sqrt(steps * 0.3 * 0.7)
     assert abs(hits - steps * 0.3) <= 3 * sigma
@@ -155,3 +157,82 @@ def test_levels_of_built_in_and_cyclic_games():
     assert make_rps(RpsParams(3)).levels == [slice(2, 3), slice(1, 2), slice(0, 1)]
     assert looping_rps1().levels is None
     assert random_game(np.random.default_rng(2), states=5).levels is None
+
+
+class FixedUniform:
+    """Stands in for a generator whose next uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0), min_size=1, max_size=6),
+       scale=st.sampled_from([1.0, 1.0 - 1e-12, 0.5]), pick=st.integers(0, 5),
+       u=st.floats(0.0, 1.0, exclude_max=True), at_entry=st.booleans())
+def test_draw_is_searchsorted_right_with_the_clamp(weights, scale, pick, u, at_entry):
+    # plateaued rows (zero weights), rows whose sum ends below 1.0, and
+    # uniforms exactly on a cumulative entry, where side="right" matters
+    w = np.array(weights)
+    cum = np.cumsum(w / w.sum() * scale) if w.sum() > 0 else np.zeros(w.size)
+    if at_entry:
+        u = min(float(cum[pick % cum.size]), np.nextafter(1.0, 0.0))
+    assert _draw(cum.tolist(), FixedUniform(u)) == searchsorted_draw(cum, FixedUniform(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6))
+def test_draw_consumes_one_uniform_like_the_searchsorted_draw(seed, size):
+    cum = np.cumsum(np.random.default_rng(seed).random(size))
+    cum /= cum[-1]
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert _draw(cum.tolist(), a) == searchsorted_draw(cum, b)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+ROLLOUT_GAMES = {
+    "rps4": make_rps(RpsParams(4)),
+    "grid": make_grid_pursuit(GridPursuitParams(2, 2, 3)),
+    # stochastic (K = 3) and cyclic: only max_steps ends some episodes
+    "cyclic": random_game(np.random.default_rng(11), states=4, a1=2, a2=3, branching=3),
+}
+
+
+def mixture_policy(game, rng, epsilon):
+    """Epsilon-mixture of uniform play and random strategies with zero entries."""
+    rows = []
+    for actions in game.action_counts:
+        shape = (game.state_count, actions)
+        strategy = rng.random(shape) * (rng.random(shape) < 0.5)
+        strategy[strategy.sum(axis=1) == 0.0, 0] = 1.0
+        strategy /= strategy.sum(axis=1, keepdims=True)
+        rows.append(epsilon / actions + (1.0 - epsilon) * strategy)
+    return Policy(*rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=st.sampled_from(sorted(ROLLOUT_GAMES)), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.sampled_from([0.0, 0.3, 1.0]), max_steps=st.integers(1, 12),
+       episodes=st.integers(1, 5))
+def test_rollout_columns_equal_the_reference_steps(game, seed, epsilon, max_steps, episodes):
+    game = ROLLOUT_GAMES[game]
+    rng = np.random.default_rng(seed)
+    policy = mixture_policy(game, rng, epsilon)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(episodes):
+        s0 = int(rng.integers(0, game.state_count))
+        ep = rollout(game, policy, s0, a, max_steps)
+        ref = reference_rollout(game, policy, s0, b, max_steps)
+        assert len(ep) == len(ref)
+        assert steps_of(ep) == [step[:5] for step in ref]
+        for column in (ep.states, ep.actions1, ep.actions2, ep.next_states):
+            assert all(type(x) is int for x in column)
+        assert all(type(r) is float for r in ep.rewards1)
+        # a terminal step ends the episode; otherwise it ran max_steps
+        assert [step[5] for step in ref] == [n == game.terminal_index for n in ep.next_states]
+        assert ref[-1][5] or len(ep) == max_steps
+        assert a.bit_generator.state == b.bit_generator.state

@@ -223,6 +223,31 @@ def test_parse_config_reports_range_errors_with_the_rest():
         assert sum(fragment in line for line in problems) == 1
 
 
+@pytest.mark.parametrize("text, fragments", [
+    ("env = rps\nrps_n = 0\nmethod = sacl\ncapacity_k = 0\n",
+     ["rps_n must lie in 1..12", "capacity_k must be >= 1"]),
+    ("env = rps\nrps_n = 13\nmethod = sacl\n", ["rps_n must lie in 1..12"]),
+    ("env = grid_pursuit\nmethod = sacl\ngrid_width = 1\ngrid_height = 2\n"
+     "grid_horizon = 0\n", ["grid_width must be >= 2", "grid_horizon must be >= 1"]),
+], ids=["rps_n_0_and_capacity_k", "rps_n_13", "grid_width_and_horizon"])
+def test_parse_config_reports_env_range_errors_with_the_rest(text, fragments):
+    # environment parameters are checked in parse_config, each problem on its
+    # own line under the one heading and naming its key
+    with pytest.raises(ValueError) as err:
+        parse_config(text)
+    lines = str(err.value).splitlines()
+    assert lines[0] == "config errors:"
+    assert len(lines[1:]) == len(fragments)
+    for fragment in fragments:
+        assert sum(fragment in line for line in lines[1:]) == 1
+
+
+def test_parse_config_reports_an_oversized_grid():
+    with pytest.raises(ValueError, match="state space too large"):
+        parse_config("env = grid_pursuit\nmethod = sacl\ngrid_width = 10\n"
+                     "grid_height = 10\ngrid_horizon = 20\n")
+
+
 def test_parse_config_leaves_defaults_to_the_dataclasses():
     cfg = parse_config("env = rps\nrps_n = 2\nmethod = sacl\n")
     assert cfg == RunConfig(env="rps", env_params={"rps_n": 2}, method="sacl")

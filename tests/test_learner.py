@@ -6,31 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgamelab import (GridPursuitParams, Learner, LearnerConfig, QTable, RpsParams,
-                        RunConfig, Transition, exploration_policy, make_grid_pursuit,
+                        RunConfig, exploration_policy, make_grid_pursuit,
                         make_rps, minimax_q_update, q_error, run_experiment,
                         samples_to_converge, solve_ne, values_from_q)
 from subgamelab import learner as learner_module
 from subgamelab.envs import RPS_WINS
 
 from oracles import (DictCacheQTable, dict_cache_exploration_policy,
-                     dict_cache_minimax_q_update, dict_cache_values_from_q, random_game,
-                     support_enumeration_value)
+                     dict_cache_minimax_q_update, dict_cache_values_from_q, episode_of,
+                     random_game, support_enumeration_value)
 
 
 def rps_game(n=1):
     return make_rps(RpsParams(n))
 
 
-def all_joint_transitions(game, state):
-    """One transition per joint action at ``state`` under the true kernel."""
-    batch = []
-    for a1 in range(3):
-        for a2 in range(3):
-            nxt = int(game.next_states[state, a1, a2, 0])
-            batch.append(Transition(state, a1, a2,
-                                    float(game.reward1[state, a1, a2]),
-                                    nxt, nxt == game.terminal_index))
-    return batch
+def all_joint_steps(game, state):
+    """One step per joint action at ``state`` under the true kernel."""
+    return [(state, a1, a2, float(game.reward1[state, a1, a2]),
+             int(game.next_states[state, a1, a2, 0]))
+            for a1 in range(3) for a2 in range(3)]
 
 
 def test_zero_learning_rate_is_identity():
@@ -39,7 +34,7 @@ def test_zero_learning_rate_is_identity():
     # lr must be positive, so realize alpha=0 through a fully decayed schedule
     cfg = LearnerConfig(lr=1e-9, lr_decay=None)
     before = q.q.copy()
-    minimax_q_update(q, all_joint_transitions(game, 0), cfg, game.discount)
+    minimax_q_update(q, episode_of(all_joint_steps(game, 0)), cfg, game.discount)
     np.testing.assert_allclose(q.q, before, atol=1e-8)
 
 
@@ -47,8 +42,8 @@ def test_unit_rate_terminal_update_is_exact():
     game = rps_game()
     q = QTable.zeros(game)
     cfg = LearnerConfig(lr=1.0, lr_decay=None)
-    tr = Transition(0, 0, 2, 1.0, game.terminal_index, True)
-    minimax_q_update(q, [tr], cfg, game.discount)
+    win = episode_of([(0, 0, 2, 1.0, game.terminal_index)])
+    minimax_q_update(q, win, cfg, game.discount)
     assert q.q[0, 0, 0, 2] == 1.0
     assert q.q[1, 0, 0, 2] == -1.0
 
@@ -56,7 +51,7 @@ def test_unit_rate_terminal_update_is_exact():
 def test_one_pass_over_rps1_reaches_stage_value_one_third():
     game = rps_game()
     q = QTable.zeros(game)
-    minimax_q_update(q, all_joint_transitions(game, 0),
+    minimax_q_update(q, episode_of(all_joint_steps(game, 0)),
                      LearnerConfig(lr=1.0, lr_decay=None), game.discount)
     assert q.stage_value(0, 0) == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert q.stage_value(1, 0) == pytest.approx(-1.0 / 3.0, abs=1e-9)
@@ -66,9 +61,9 @@ def test_visit_count_decay_averages_targets():
     game = rps_game()
     q = QTable.zeros(game)
     cfg = LearnerConfig(lr=1.0, lr_decay="visit_count")
-    tr1 = Transition(0, 0, 2, 1.0, game.terminal_index, True)
-    tr0 = Transition(0, 0, 2, 0.0, game.terminal_index, True)
-    minimax_q_update(q, [tr1, tr0, tr1, tr0], cfg, game.discount)
+    win = (0, 0, 2, 1.0, game.terminal_index)
+    draw = (0, 0, 2, 0.0, game.terminal_index)
+    minimax_q_update(q, episode_of([win, draw, win, draw]), cfg, game.discount)
     assert q.q[0, 0, 0, 2] == pytest.approx(0.5)
 
 
@@ -158,8 +153,8 @@ def test_fixed_point_of_oracle_backups():
     q = QTable.zeros(game)
     q.q[:] = oracle.q_star
     cfg = LearnerConfig(lr=1.0, lr_decay=None)
-    batch = all_joint_transitions(game, 0) + all_joint_transitions(game, 1)
-    minimax_q_update(q, batch, cfg, game.discount)
+    batch = all_joint_steps(game, 0) + all_joint_steps(game, 1)
+    minimax_q_update(q, episode_of(batch), cfg, game.discount)
     assert q_error(q, oracle) < 1e-9
 
 
@@ -171,10 +166,8 @@ def test_player_symmetry_under_shared_stream():
     for _ in range(300):
         s = int(rng.integers(0, 2))
         a1, a2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        nxt = int(game.next_states[s, a1, a2, 0])
-        tr = Transition(s, a1, a2, float(game.reward1[s, a1, a2]),
-                        nxt, nxt == game.terminal_index)
-        minimax_q_update(q, [tr], cfg, game.discount)
+        step = (s, a1, a2, float(game.reward1[s, a1, a2]), int(game.next_states[s, a1, a2, 0]))
+        minimax_q_update(q, episode_of([step]), cfg, game.discount)
     np.testing.assert_allclose(q.q[0], -q.q[1], atol=1e-9)
 
 
@@ -215,15 +208,13 @@ def test_win_pairs_constant_is_consistent():
         assert game.reward1[0, a1, a2] == 1.0
 
 
-def random_transition(game, rng):
+def random_step(game, rng):
     s = int(rng.integers(0, game.state_count))
     a1, a2 = (int(a) for a in rng.integers(0, game.action_counts))
     slot = 0
     if game.next_states.shape[3] > 1:  # a stochastic kernel: any live successor
         slot = int(rng.choice(np.flatnonzero(game.next_probs[s, a1, a2] > 0.0)))
-    nxt = int(game.next_states[s, a1, a2, slot])
-    return Transition(s, a1, a2, float(game.reward1[s, a1, a2]), nxt,
-                      nxt == game.terminal_index)
+    return (s, a1, a2, float(game.reward1[s, a1, a2]), int(game.next_states[s, a1, a2, slot]))
 
 
 GAMES = {"rps3": rps_game(3), "grid": make_grid_pursuit(GridPursuitParams(2, 2, 3))}
@@ -240,7 +231,7 @@ def test_values_from_q_refreshes_written_rows_exactly(game, seed, batches, lr, d
     q = QTable.zeros(game)
     cfg = LearnerConfig(lr=lr, lr_decay=decay)
     for size in batches:
-        batch = [random_transition(game, rng) for _ in range(size)]
+        batch = episode_of([random_step(game, rng) for _ in range(size)])
         minimax_q_update(q, batch, cfg, game.discount)
         fresh = QTable(q.q.copy(), q.visits.copy())
         assert values_from_q(q).tolist() == values_from_q(fresh).tolist()
@@ -278,7 +269,7 @@ def test_stage_store_matches_dict_cache_reference(game, seed, batches, lr, decay
                 assert new.tobytes() == old.tobytes(), name
 
     for size, reads in batches:
-        batch = [random_transition(game, rng) for _ in range(size)]
+        batch = episode_of([random_step(game, rng) for _ in range(size)])
         minimax_q_update(q, batch, cfg, game.discount)
         dict_cache_minimax_q_update(ref, batch, cfg, game.discount)
         assert q.q.tobytes() == ref.q.tobytes()
@@ -304,8 +295,8 @@ def test_refresh_solves_only_rows_written_since_their_last_solve(monkeypatch):
     exploration_policy(q, LearnerConfig(epsilon=0.5))
     q.stage_solution(1, 2)
     assert solved == [3, 3]
-    win = Transition(2, 0, 2, 1.0, game.terminal_index, True)
-    minimax_q_update(q, [win], LearnerConfig(lr=1.0, lr_decay=None), game.discount)
+    win = episode_of([(2, 0, 2, 1.0, game.terminal_index)])
+    minimax_q_update(q, win, LearnerConfig(lr=1.0, lr_decay=None), game.discount)
     exploration_policy(q, LearnerConfig(epsilon=0.5))
     values_from_q(q)
     assert solved == [3, 3, 1, 1]

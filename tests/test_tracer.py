@@ -41,11 +41,13 @@ def package_bindings(tracer_module):
 
 
 def train_a_little():
+    """Five short episodes; returns their summed length, the sample count."""
     lr = Learner(make_rps(RpsParams(2)),
                  LearnerConfig(lr=1.0, lr_decay=None, epsilon=0.5), np.random.default_rng(0))
-    for _ in range(5):
-        lr.run_episode(0, 2)
+    steps = sum(len(lr.run_episode(0, 2)) for _ in range(5))
+    assert lr.qtable.visits.sum() == steps  # one visit per sample
     lr.values()
+    return steps
 
 
 def changed(before, after):
@@ -58,7 +60,7 @@ def test_install_and_uninstall_restore_every_binding(tracer_module):
     tracer.install()
     try:
         patched = changed(before, package_bindings(tracer_module))
-        train_a_little()
+        steps = train_a_little()
     finally:
         tracer.uninstall()
     assert changed(before, package_bindings(tracer_module)) == []
@@ -66,8 +68,11 @@ def test_install_and_uninstall_restore_every_binding(tracer_module):
         for _, attr in targets:
             assert attr.split(".")[-1] in patched, name
     stats = tracer.take()
+    # both counters take len() of the episode, which must be its step count
+    assert stats["game.rollout"].calls == 5
+    assert stats["game.rollout"].items == steps
     assert stats["learner.minimax_q_update"].calls == 5
-    assert stats["learner.minimax_q_update"].items > 0
+    assert stats["learner.minimax_q_update"].items == steps
     assert stats["learner.exploration_policy"].calls > 0
     assert stats["learner.values_from_q"].calls == 1
 

@@ -1,0 +1,59 @@
+"""Short training runs pinned to the CSVs they wrote when their digests were recorded.
+
+Each config is trained through ``parse_config`` and ``run_experiment``; the
+CSV, wall-clock column dropped, must hash to the recorded sha256. A change
+that alters any draw, update or weight in rollout, the learner or the
+curriculum changes at least one digest. The configs follow
+``perfbench/golden.py`` at a smaller scale: rps n=3 under all three methods
+(seeds 0-2, the ``fig2_run_config`` budgets) and the 3x3x4 grid under
+``sacl`` with the ``full`` and ``td_error`` metrics (seed 0, budget 20k).
+"""
+
+import csv
+import hashlib
+import io
+
+import pytest
+
+from subgamelab import parse_config, run_experiment
+
+LEARNER = ["lr = 1.0", "lr_decay = none", "epsilon = 1.0", "p = 0.7", "capacity_k = 64"]
+RPS_BUDGETS = {"self_play": 5_000 + 300 * 3**3, "sacl": 3_000 + 2_000 * 3,
+               "full_access_order": 2_000 + 500 * 3}
+
+
+def config(name: str) -> str:
+    if name.startswith("rps3-"):
+        method = name.removeprefix("rps3-")
+        return "\n".join(LEARNER + [
+            "env = rps", "rps_n = 3", f"method = {method}", "variant = uniform",
+            "episodes_per_epoch = 4", "seeds = 0, 1, 2",
+            f"sample_budget = {RPS_BUDGETS[method]}", "eval_every = 50",
+            "convergence_threshold = 0.01"])
+    variant = name.removeprefix("grid3x3x4-sacl-")
+    return "\n".join(LEARNER + [
+        "env = grid_pursuit", "grid_width = 3", "grid_height = 3", "grid_horizon = 4",
+        "method = sacl", f"variant = {variant}", "episodes_per_epoch = 8", "seeds = 0",
+        "sample_budget = 20000", "eval_every = 2000", "convergence_threshold = 0.01"])
+
+
+def digest_without_wall_clock(text: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    drop = rows[0].index("wall_clock")
+    body = "".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+DIGESTS = {
+    "rps3-self_play": "41a3846511c92e2df93988ad60c31f020c074ff3b9ef92d84b8c2a93bd4f46f6",
+    "rps3-sacl": "df8478aecaa465060e8fe33f4bb8909818c8c34542540e28af51555c369666cc",
+    "rps3-full_access_order": "6a1808f3939dd6631e5fc03fc730e160ee8d945cb61240285c1c564952c353b2",
+    "grid3x3x4-sacl-full": "550a76d46a44d1d475d01f893908b300e587fe96485b5e2406dc4a46ce3fed5b",
+    "grid3x3x4-sacl-td_error": "e4e655d68d60bebcb5835f18007bc78fb0da51a35a4e94d5ec3aee8c18572c94",
+}
+
+
+@pytest.mark.parametrize("name", DIGESTS)
+def test_training_csv_matches_its_recorded_digest(name):
+    record = run_experiment(parse_config(config(name)))
+    assert digest_without_wall_clock(record.to_csv()) == DIGESTS[name]
