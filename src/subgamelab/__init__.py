@@ -7,8 +7,8 @@ from .curriculum import (MetricConfig, SamplerConfig, SamplingTable, ValueEnsemb
 from .envs import GridPursuitParams, RpsParams, build_env, make_grid_pursuit, make_rps
 from .evaluation import (ExploitabilityReport, NESolution, best_response,
                          exploitability, matchup_value, oracle_weight, solve_ne)
-from .game import (Episode, GameSpec, Policy, Rng, rollout, sample_initial,
-                   uniform_policy)
+from .game import (Episode, GameSpec, Policy, Rng, UniformStream, rollout,
+                   sample_initial, uniform_policy)
 from .harness import (ExperimentRecord, RecordRow, RunConfig,
                       coverage_experiment, joint_action_coverage, parse_config,
                       replicate_fig2, run_experiment, samples_to_converge)
@@ -20,13 +20,13 @@ __all__ = [
     "Episode", "ExperimentRecord", "ExploitabilityReport", "GameSpec",
     "GridPursuitParams", "Learner", "LearnerConfig", "MatrixSolution",
     "MetricConfig", "NESolution", "Policy", "QTable", "RecordRow", "Rng",
-    "RpsParams", "RunConfig", "SamplerConfig", "SamplingTable", "ValueEnsemble",
-    "WeightedStateBuffer", "best_response", "buffer_insert", "build_env",
-    "compute_weight", "compute_weights", "coverage_experiment", "curriculum_epoch",
-    "exploitability", "exploration_policy", "fps_prune", "joint_action_coverage",
-    "make_grid_pursuit", "make_rps", "matchup_value", "minimax_q_update",
-    "oracle_weight", "parse_config", "q_error", "replicate_fig2", "rollout",
-    "run_experiment", "sample_initial", "sample_subgame", "samples_to_converge",
-    "signed_values", "solve", "solve_ne", "solve_stack", "uniform_policy",
-    "values_from_q",
+    "RpsParams", "RunConfig", "SamplerConfig", "SamplingTable", "UniformStream",
+    "ValueEnsemble", "WeightedStateBuffer", "best_response", "buffer_insert",
+    "build_env", "compute_weight", "compute_weights", "coverage_experiment",
+    "curriculum_epoch", "exploitability", "exploration_policy", "fps_prune",
+    "joint_action_coverage", "make_grid_pursuit", "make_rps", "matchup_value",
+    "minimax_q_update", "oracle_weight", "parse_config", "q_error",
+    "replicate_fig2", "rollout", "run_experiment", "sample_initial",
+    "sample_subgame", "samples_to_converge", "signed_values", "solve", "solve_ne",
+    "solve_stack", "uniform_policy", "values_from_q",
 ]

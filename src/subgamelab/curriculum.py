@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameSpec, Rng, _draw, sample_initial
+from .game import GameSpec, Rng, UniformStream, _draw, sample_initial
 from .learner import Learner
 
 METRIC_VARIANTS = ("full", "uniform", "bias_only", "variance_only", "td_error")
@@ -211,6 +211,13 @@ def buffer_insert(buf: WeightedStateBuffer, states: Iterable[tuple[int, float]],
         raise ValueError("buffered states must be valid state indices")
     pos = np.minimum(np.searchsorted(new_states, buf.states), new_states.size - 1)
     old = new_states[pos] != buf.states
+    if old.size - np.count_nonzero(old) == new_states.size:
+        # every new state is already a member (states are unique on both
+        # sides): only those members' weights change, in ascending order
+        weights = buf.weights.copy()
+        weights[~old] = new_weights
+        buf.weights = weights
+        return buf
     merged = np.concatenate([buf.states[old], new_states])
     order = np.argsort(merged, kind="stable")
     old_features = buf.features[old] if len(buf) else np.empty((0, game.feature_dim))
@@ -293,7 +300,7 @@ class SamplingTable:
 
 
 def sample_subgame(table: SamplingTable | None, game: GameSpec, cfg: SamplerConfig,
-                   rng: Rng) -> int:
+                   rng: Rng | UniformStream) -> int:
     """Choose an episode's start state.
 
     With probability p and a usable buffer table, draw a buffered state with

@@ -10,6 +10,7 @@ deterministic and stochastic kernels share one representation. Only player
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,30 @@ import numpy as np
 Rng = np.random.Generator
 
 _PROB_TOL = 1e-12
+_BLOCK = 256  # uniforms drawn per generator call by UniformStream
+
+
+def _blocks(rng: Rng):
+    while True:
+        yield rng.random(_BLOCK).tolist()
+
+
+class UniformStream:
+    """The uniforms of ``rng``, drawn from it a block at a time.
+
+    ``random()`` returns the same doubles, in the same order, as successive
+    ``rng.random()`` calls would, at a fraction of a scalar call's cost. The
+    generator's own state runs up to a block ahead of the values consumed,
+    so nothing else may draw from ``rng`` once it is wrapped. Everything
+    that draws here (``rollout``, ``sample_initial``, ``sample_subgame``)
+    calls only ``random()``, so it takes a stream or a raw generator alike.
+    """
+
+    def __init__(self, rng: Rng):
+        self.rng = rng
+        # a C-level iterator step per value; the generator is called only
+        # when a block runs out
+        self.random = itertools.chain.from_iterable(_blocks(rng)).__next__
 
 
 @dataclass(frozen=True)
@@ -160,6 +185,18 @@ class Policy:
         """Cumulative sums of each player's rows, for inverse-CDF draws."""
         return np.cumsum(self.p1, axis=1), np.cumsum(self.p2, axis=1)
 
+    @cached_property
+    def row_cdf_lists(self) -> tuple[list, list]:
+        """Per-state slots for each player's ``row_cdfs`` row as a list.
+
+        A slot is None until :func:`rollout` first draws from that row and
+        fills it, so a policy used for many episodes converts each row it
+        visits once, and one used for a single episode converts only the
+        rows that episode visits.
+        """
+        s_count = self.p1.shape[0]
+        return [None] * s_count, [None] * s_count
+
 
 def uniform_policy(game: GameSpec) -> Policy:
     a1, a2 = game.action_counts
@@ -187,18 +224,18 @@ class Episode:
         return len(self.states)
 
 
-def _draw(cum: list[float], rng: Rng) -> int:
+def _draw(cum: list[float], rng: Rng | UniformStream) -> int:
     # inverse-CDF draw: the index np.searchsorted(cum, u, side="right") gives;
     # the clamp guards the u ~ 1.0 rounding edge
     return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
 
 
-def sample_initial(game: GameSpec, rng: Rng) -> int:
+def sample_initial(game: GameSpec, rng: Rng | UniformStream) -> int:
     """Draw a start state from the game's initial distribution."""
     return _draw(game.initial_cdf, rng)
 
 
-def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng,
+def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng | UniformStream,
             max_steps: int) -> Episode:
     """Play one episode from ``s0`` under a fixed joint policy.
 
@@ -209,23 +246,30 @@ def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng,
 
     Each step draws player 1's action, player 2's action and, on a
     stochastic kernel, the successor, in that order, each by inverse CDF
-    from one uniform. Only the rows drawn from are converted to lists, so
-    the per-step work is plain Python on scalars. Identical (game, policy,
-    s0, seed) inputs reproduce the trajectory bit for bit.
+    from one uniform of ``rng`` (a generator or a :class:`UniformStream`).
+    Only the policy rows drawn from are converted to lists, once per policy
+    (kept in :attr:`Policy.row_cdf_lists`), so the per-step work is plain
+    Python on scalars. Identical (game, policy, s0, seed) inputs reproduce
+    the trajectory bit for bit.
     """
     if not 0 <= s0 < game.state_count:
         raise ValueError(f"rollout start {s0} out of range")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     cum1, cum2 = policy.row_cdfs
+    rows1, rows2 = policy.row_cdf_lists
     next_states, next_probs, reward1 = game.next_states, game.next_probs, game.reward1
     deterministic = next_states.shape[3] == 1
     terminal = game.terminal_index
     states, actions1, actions2, rewards1, nexts = [], [], [], [], []
     s = int(s0)
     for _ in range(max_steps):
-        a1 = _draw(cum1[s].tolist(), rng)
-        a2 = _draw(cum2[s].tolist(), rng)
+        row1, row2 = rows1[s], rows2[s]
+        if row1 is None:
+            row1 = rows1[s] = cum1[s].tolist()
+            row2 = rows2[s] = cum2[s].tolist()
+        a1 = _draw(row1, rng)
+        a2 = _draw(row2, rng)
         k = 0 if deterministic else _draw(np.cumsum(next_probs[s, a1, a2]).tolist(), rng)
         nxt = next_states.item(s, a1, a2, k)
         states.append(s)

@@ -124,6 +124,10 @@ class _Evaluator:
         self.next_mark = cfg.eval_every
         self.converged = False
         self.start = time.perf_counter()
+        # the greedy policy last scored and its exploitability; the learner
+        # hands back the same object while its strategies are unchanged
+        self._scored = None
+        self._exploitability = 0.0
 
     @property
     def should_stop(self) -> bool:
@@ -132,7 +136,11 @@ class _Evaluator:
     def _row(self) -> RecordRow:
         lr = self.learners[0]
         err = q_error(lr.qtable, self.oracle)
-        expl = exploitability(self.game, lr.greedy_policy()).total
+        policy = lr.greedy_policy()
+        if policy is not self._scored:
+            self._scored = policy
+            self._exploitability = exploitability(self.game, policy).total
+        expl = self._exploitability
         if err < self.cfg.convergence_threshold:
             self.converged = True
         return RecordRow(self.seed, self.cfg.method, self.cfg.env, self.samples,

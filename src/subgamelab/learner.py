@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .game import Episode, GameSpec, Policy, Rng, rollout
+from .game import Episode, GameSpec, Policy, Rng, UniformStream, rollout
 from .matrix_game import solve_stack
 
 
@@ -176,14 +176,19 @@ def q_error(q: QTable, oracle) -> float:
 
 
 class Learner:
-    """One self-play minimax-Q learner: tables, exploration, episode loop."""
+    """One self-play minimax-Q learner: tables, exploration, episode loop.
+
+    The learner owns ``rng`` from here on: it is wrapped in a
+    :class:`UniformStream`, which draws ahead of the values it hands out.
+    """
 
     def __init__(self, game: GameSpec, cfg: LearnerConfig, rng: Rng):
         self.game = game
         self.cfg = cfg
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.qtable = QTable.zeros(game)
         self._policy: Policy | None = None
+        self._greedy: Policy | None = None
         self._samples_since_refresh = 0
 
     def policy(self) -> Policy:
@@ -193,7 +198,21 @@ class Learner:
         return self._policy
 
     def greedy_policy(self) -> Policy:
-        return exploration_policy(self.qtable, replace(self.cfg, epsilon=0.0))
+        """The epsilon=0 policy of the current tables.
+
+        Returns the previous call's object while both players' stage
+        strategies equal its rows, so a caller may reuse anything it
+        computed from that object; at epsilon=0 the policy is the
+        strategies themselves, so the reused object equals a fresh build
+        bit for bit.
+        """
+        q = self.qtable
+        q.refresh(np.flatnonzero(q._dirty))
+        last = self._greedy
+        if (last is None or not np.array_equal(last.p1, q._strategies[0])
+                or not np.array_equal(last.p2, q._strategies[1])):
+            self._greedy = exploration_policy(q, replace(self.cfg, epsilon=0.0))
+        return self._greedy
 
     def values(self) -> np.ndarray:
         return values_from_q(self.qtable)

@@ -10,7 +10,9 @@ stacked kernel, and ``DictCacheQTable`` with its three functions is the
 minimax-Q learner with a dict of per-(player, state) ``solve`` results, the
 reference for the learner's per-state stage store, and ``reference_rollout``
 is the episode loop with ``np.searchsorted`` draws and one tuple per step,
-the reference for the scalar ``rollout``. ``dense_game`` builds small
+the reference for the scalar ``rollout``, and ``merge_buffer_insert`` is
+the buffer insert that always merges, the reference for its member-only
+fast path. ``dense_game`` builds small
 hand-written games from a dense transition tensor; ``episode_of`` and
 ``steps_of`` convert between an ``Episode`` and its per-step tuples.
 """
@@ -19,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from subgamelab import Episode, GameSpec, Policy, solve
+from subgamelab import Episode, GameSpec, Policy, WeightedStateBuffer, solve
 
 
 def support_enumeration_value(payoff, tol=1e-9):
@@ -342,3 +344,21 @@ def reference_rollout(game: GameSpec, policy: Policy, s0: int, rng,
             break
         s = nxt
     return traj
+
+
+def merge_buffer_insert(buf: WeightedStateBuffer, states, game: GameSpec) -> WeightedStateBuffer:
+    """``buffer_insert`` without its member-only fast path: every batch merged."""
+    newest = {int(s): float(w) for s, w in states}
+    if not newest:
+        return buf
+    new_states = np.array(sorted(newest), dtype=np.int64)
+    new_weights = np.array([newest[s] for s in new_states.tolist()])
+    pos = np.minimum(np.searchsorted(new_states, buf.states), new_states.size - 1)
+    old = new_states[pos] != buf.states
+    merged = np.concatenate([buf.states[old], new_states])
+    order = np.argsort(merged, kind="stable")
+    old_features = buf.features[old] if len(buf) else np.empty((0, game.feature_dim))
+    buf.states = merged[order]
+    buf.weights = np.concatenate([buf.weights[old], new_weights])[order]
+    buf.features = np.concatenate([old_features, game.features[new_states]])[order]
+    return buf

@@ -15,6 +15,8 @@ from subgamelab import (GridPursuitParams, Learner, LearnerConfig, MetricConfig,
                         signed_values, solve_ne)
 from subgamelab.curriculum import METRIC_VARIANTS, _pairwise_distances
 
+from oracles import merge_buffer_insert
+
 
 def ensemble(current, previous=None):
     cur = np.asarray(current, dtype=float)
@@ -454,6 +456,36 @@ def test_buffer_insert_matches_newest_weight_dict(batches):
         assert buf.states.tolist() == sorted(reference)
         assert buf.weights.tolist() == [reference[s] for s in sorted(reference)]
         assert buf.features.tolist() == game.features[buf.states].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rounds=st.integers(1, 6))
+def test_buffer_insert_equals_the_merge_reference(data, rounds):
+    # batches of members only (the fast path), of new states only, and mixed
+    game = GRID
+    buf, ref = WeightedStateBuffer(capacity=64), WeightedStateBuffer(capacity=64)
+    weight = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 10.0)
+    for _ in range(rounds):
+        members = buf.states.tolist()
+        fresh = sorted(set(range(game.state_count)) - set(members))
+        kind = data.draw(st.sampled_from(["members", "fresh", "mixed"]) if members
+                         else st.just("fresh"))
+        parts = {"members": [members], "fresh": [fresh], "mixed": [members, fresh]}[kind]
+        batch = [entry for pool in parts for entry in data.draw(
+            st.lists(st.tuples(st.sampled_from(pool), weight), min_size=1, max_size=8))]
+        batch = data.draw(st.permutations(batch))
+        handed_out = buf.arrays()
+        before = [a.copy() for a in handed_out]
+        buffer_insert(buf, batch, game)
+        merge_buffer_insert(ref, batch, game)
+        for name in ("states", "features", "weights"):
+            got, want = getattr(buf, name), getattr(ref, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        # like the merge, no write in place; a members-only batch rewrites only the weights
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(handed_out, before))
+        assert (buf.states is handed_out[0] and buf.features is handed_out[1]) == (
+            kind == "members")
 
 
 def test_buffer_insert_is_all_or_nothing():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgamelab import (GridPursuitParams, Policy, RpsParams, make_grid_pursuit, make_rps,
-                        rollout, sample_initial, solve_ne, uniform_policy)
+from subgamelab import (GridPursuitParams, Policy, RpsParams, UniformStream,
+                        make_grid_pursuit, make_rps, rollout, sample_initial, solve_ne,
+                        uniform_policy)
 from subgamelab.game import _draw
 
 from oracles import (dense_game, random_acyclic_game, random_game, reference_rollout,
@@ -194,6 +195,16 @@ def test_draw_consumes_one_uniform_like_the_searchsorted_draw(seed, size):
     assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+def test_uniform_stream_returns_the_scalar_draws_across_blocks(seed):
+    stream, raw = UniformStream(np.random.default_rng(seed)), np.random.default_rng(seed)
+    draws = 1_300  # five blocks and part of a sixth
+    assert [stream.random() for _ in range(draws)] == [raw.random() for _ in range(draws)]
+    # the wrapped generator has drawn the started block whole, and no further
+    raw.random(6 * 256 - draws)
+    assert stream.rng.bit_generator.state == raw.bit_generator.state
+
+
 ROLLOUT_GAMES = {
     "rps4": make_rps(RpsParams(4)),
     "grid": make_grid_pursuit(GridPursuitParams(2, 2, 3)),
@@ -223,8 +234,10 @@ def test_rollout_columns_equal_the_reference_steps(game, seed, epsilon, max_step
     rng = np.random.default_rng(seed)
     policy = mixture_policy(game, rng, epsilon)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    visited = set()
     for _ in range(episodes):
         s0 = int(rng.integers(0, game.state_count))
+        converted = [list(slots) for slots in policy.row_cdf_lists]
         ep = rollout(game, policy, s0, a, max_steps)
         ref = reference_rollout(game, policy, s0, b, max_steps)
         assert len(ep) == len(ref)
@@ -236,3 +249,11 @@ def test_rollout_columns_equal_the_reference_steps(game, seed, epsilon, max_step
         assert [step[5] for step in ref] == [n == game.terminal_index for n in ep.next_states]
         assert ref[-1][5] or len(ep) == max_steps
         assert a.bit_generator.state == b.bit_generator.state
+        visited.update(ep.states)
+        for before, slots in zip(converted, policy.row_cdf_lists):
+            assert all(row is None or row is slots[s] for s, row in enumerate(before))
+    # the policy's row slots persist across its rollouts: converted once for
+    # each state drawn from, into that state's CDF rows
+    for slots, cum in zip(policy.row_cdf_lists, policy.row_cdfs):
+        assert {s for s, row in enumerate(slots) if row is not None} == visited
+        assert all(slots[s] == cum[s].tolist() for s in visited)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from subgamelab import (ExperimentRecord, GridPursuitParams, LearnerConfig,
+from subgamelab import (ExperimentRecord, GridPursuitParams, Learner, LearnerConfig,
                         MetricConfig, RecordRow, RunConfig, SamplerConfig,
-                        coverage_experiment, joint_action_coverage,
+                        coverage_experiment, exploration_policy, joint_action_coverage,
                         parse_config, replicate_fig2, run_experiment,
                         samples_to_converge)
+from subgamelab import harness
 from subgamelab.harness import fig2_run_config, fig2_to_csv
 
 FAST_LEARNER = LearnerConfig(lr=1.0, lr_decay=None, epsilon=1.0)
@@ -68,11 +71,34 @@ def test_records_are_reproducible_excluding_wall_clock():
                      sampler=SamplerConfig(p=0.7))
     csv_a = run_experiment(cfg).to_csv()
     csv_b = run_experiment(cfg).to_csv()
-
-    def strip_wall_clock(text):
-        return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
-
     assert strip_wall_clock(csv_a) == strip_wall_clock(csv_b)
+
+
+def strip_wall_clock(text):
+    return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("method", ["sacl", "self_play"])
+def test_exploitability_is_scored_once_per_greedy_policy(monkeypatch, method):
+    cfg = fig2_run_config(4, method, (0, 1))
+    scored = []
+    original = harness.exploitability
+
+    def counting(game, policy):
+        scored.append(policy)
+        return original(game, policy)
+
+    monkeypatch.setattr(harness, "exploitability", counting)
+    reused = run_experiment(cfg)
+    reused_calls = len(scored)
+    # a fresh greedy policy per row, so every row is scored afresh
+    monkeypatch.setattr(Learner, "greedy_policy", lambda self: exploration_policy(
+        self.qtable, replace(self.cfg, epsilon=0.0)))
+    scored.clear()
+    fresh = run_experiment(cfg)
+    assert len(scored) == len(fresh.rows)
+    assert 0 < reused_calls < len(fresh.rows)
+    assert strip_wall_clock(reused.to_csv()) == strip_wall_clock(fresh.to_csv())
 
 
 def test_samples_to_converge_edge_cases():

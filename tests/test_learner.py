@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgamelab import (GridPursuitParams, Learner, LearnerConfig, QTable, RpsParams,
-                        RunConfig, exploration_policy, make_grid_pursuit,
+                        RunConfig, UniformStream, exploration_policy, make_grid_pursuit,
                         make_rps, minimax_q_update, q_error, run_experiment,
-                        samples_to_converge, solve_ne, values_from_q)
+                        sample_initial, samples_to_converge, solve_ne, values_from_q)
 from subgamelab import learner as learner_module
 from subgamelab.envs import RPS_WINS
 
@@ -342,3 +342,42 @@ def test_mixed_exploration_policy_rebuilt_after_a_write(monkeypatch):
         episodes += 1
     lr.run_episode(0, 10)  # drawn under the policy rebuilt after the write
     assert builds == [0.5] * (episodes + 1)
+
+
+@pytest.mark.parametrize("epsilon, batch_size", [(1.0, 1), (0.5, 3)])
+def test_learner_episodes_through_its_stream_equal_raw_generator_episodes(epsilon, batch_size):
+    # a stochastic cyclic game: each step draws both actions and the successor
+    game = random_game(np.random.default_rng(11), states=4, a1=2, a2=3, branching=3)
+    cfg = LearnerConfig(lr=0.5, lr_decay="visit_count", epsilon=epsilon, batch_size=batch_size)
+    streamed = Learner(game, cfg, np.random.default_rng(3))
+    raw = Learner(game, cfg, np.random.default_rng(3))
+    raw.rng = np.random.default_rng(3)  # scalar draws straight from the generator
+    assert isinstance(streamed.rng, UniformStream)
+    draws = 0
+    for _ in range(200):
+        s0 = sample_initial(game, streamed.rng)
+        assert s0 == sample_initial(game, raw.rng)
+        episode = streamed.run_episode(s0, 6)
+        assert episode == raw.run_episode(s0, 6)
+        draws += 1 + 3 * len(episode)
+    assert draws > 4 * 256  # several blocks were used up
+    assert streamed.qtable.q.tobytes() == raw.qtable.q.tobytes()
+
+
+@pytest.mark.parametrize("game", ["rps3", "cyclic2x3", "cyclic3x2"])
+def test_greedy_policy_is_reused_exactly_while_strategies_are_unchanged(game):
+    game = REFERENCE_GAMES[game]
+    lr = Learner(game, LearnerConfig(lr=0.5, lr_decay=None), np.random.default_rng(4))
+    previous = lr.greedy_policy()
+    outcomes = set()
+    for _ in range(300):
+        lr.run_episode(sample_initial(game, lr.rng), 10)
+        policy = lr.greedy_policy()
+        fresh = exploration_policy(lr.qtable, LearnerConfig(epsilon=0.0))
+        assert policy.p1.tobytes() == fresh.p1.tobytes()
+        assert policy.p2.tobytes() == fresh.p2.tobytes()
+        unchanged = np.array_equal(fresh.p1, previous.p1) and np.array_equal(fresh.p2, previous.p2)
+        assert (policy is previous) == unchanged
+        outcomes.add(unchanged)
+        previous = policy
+    assert outcomes == {True, False}  # both reuse and rebuild happened
