@@ -1,15 +1,27 @@
 """Exact oracles and policy-quality metrics.
 
-Every oracle is one dynamic program, run by a single kernel: build each
-state's stage matrix r + discount * E[v(s')] and reduce it to a value.
-Topologically ordered (finite-horizon) games take one exact backward pass,
-a slice of ``GameSpec.levels`` at a time; other games iterate to tolerance.
-Only the reducer differs: the maximin of the stage game for the Nash
-equilibrium (Shapley 1953), solved by one ``solve_stack`` call for all the
-stage games of a slice or a sweep; the best row of the stage matrix
-marginalised over a fixed opponent for the exact best response (strictly
-stronger than a learned approximation at tabular scale); and the bilinear
-form of two fixed policies for the matchup value.
+Every oracle is exact and finishes in a finite number of steps. A
+topologically ordered (finite-horizon) game takes one backward pass, a
+slice of ``GameSpec.levels`` at a time, which builds each state's stage
+matrix r + discount * E[v(s')] and reduces it to a value. Only the reducer
+differs: the maximin of the stage game for the Nash equilibrium (Shapley
+1953), solved by one ``solve_stack`` call for all the stage games of a
+slice; the best row of the stage matrix marginalised over a fixed opponent
+for the exact best response (strictly stronger than a learned
+approximation at tabular scale); and the bilinear form of two fixed
+policies for the matchup value.
+
+A cyclic game has no such order. There the oracles rest on one
+policy-evaluation kernel: the values of a fixed pair of mixtures are one
+linear solve of (I - discount * P) v = r. The matchup value is that solve;
+the best response is policy iteration on it (Howard 1960); the equilibrium
+is Hoffman-Karp strategy iteration (1966; see Filar and Vrieze 1997), which
+alternates one ``solve_stack`` call for the maximizer's stage strategies
+with policy iteration for the minimizer's exact reply to them. The solve is
+dense, (S, S), which suits S up to a few thousand states. At discount 1
+every pair of policies must reach the terminal from every state with
+probability one; a pair that does not makes I - P singular and raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,15 +33,30 @@ import numpy as np
 from .game import GameSpec, Policy
 from .matrix_game import solve_stack
 
+# strategy iteration stops once no value moves by more than this times
+# max|r| / (1 - discount), or times max|r| at discount 1
+_STOP = 1e-13
+# policy iteration switches a state's action only when the best action beats
+# it by more than this times the largest stage entry, so rounding in the
+# linear solve cannot swap two near-equal actions back and forth
+_GAIN = 1e-12
+# the most steps strategy iteration and policy iteration take, so no input
+# can make either hang; strategy iteration reports its residual when it
+# runs out, policy iteration (which settles in a few steps) raises
+_MAX_STEPS = 200
+_MAX_POLICY_STEPS = 1000
+
 
 @dataclass(frozen=True)
 class NESolution:
     """Equilibrium values, Q-values, and policies with the final residual.
 
-    ``residual`` is the sup-norm gap between ``v_star`` and one more backup;
-    it is exactly zero on a topologically ordered game (one backward pass)
-    and at most the stopping tolerance otherwise. A residual above the requested tolerance flags
-    non-convergence within the iteration budget.
+    ``residual`` is the sup-norm gap between ``v_star`` and one more Shapley
+    backup. It is exactly zero on a topologically ordered game (one backward
+    pass). On a cyclic game it is what strategy iteration left, about 1e-13
+    x max|r| / (1 - discount) on well-scaled payoffs, and larger where the
+    stage-game solver's absolute tolerance binds (payoffs far below 1) or
+    the step bound was spent; it is measured, never assumed.
     """
 
     v_star: np.ndarray  # (2, S)
@@ -55,57 +82,143 @@ def _maximin(stages: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     return values, np.concatenate((p, q), axis=1)
 
 
-def _sweep(game: GameSpec, reward: np.ndarray, reduce, tol: float, max_iters: int):
-    """The dynamic program whose backup applies ``reduce`` to stage matrices.
+def _marginal(stages: np.ndarray, opponent: np.ndarray, player: int) -> np.ndarray:
+    """``player``'s stage rows: the stage matrices marginalised over the opponent's mixture."""
+    if player == 0:
+        return (stages @ opponent[:, :, None])[:, :, 0]
+    return (opponent[:, None, :] @ stages)[:, 0, :]
+
+
+def _backward(game: GameSpec, reward: np.ndarray, reduce):
+    """One exact backward pass over ``game.levels`` with the backup ``reduce``.
 
     ``reduce(stages, s)`` maps the stage matrices of the states ``s`` (a
-    slice) to their values and a per-state auxiliary array. A topologically
-    ordered game takes one exact backward pass, one ``reduce`` call per
-    slice of ``game.levels``. Otherwise Jacobi sweeps over all states run
-    until the sup-norm change falls below ``tol`` or ``max_iters`` is spent,
-    and one more sweep at the final values gives the stages, the auxiliary
-    array and the residual. Returns (v, stages, aux, residual).
+    slice) to their values and a per-state auxiliary array. Returns (v,
+    stages, aux).
     """
     v_ext = np.zeros(game.state_count + 1)
     v = v_ext[:-1]
-    if game.levels is not None:
-        stages = np.empty(reward.shape)
-        parts = []
-        for s in game.levels:
-            stages[s] = _stages(game, reward, v_ext, s)
-            v[s], aux = reduce(stages[s], s)
-            parts.append(aux)
-        return v, stages, np.concatenate(parts[::-1]), 0.0
+    stages = np.empty(reward.shape)
+    parts = []
+    for s in game.levels:
+        stages[s] = _stages(game, reward, v_ext, s)
+        v[s], aux = reduce(stages[s], s)
+        parts.append(aux)
+    return v, stages, np.concatenate(parts[::-1])
+
+
+def _evaluate(game: GameSpec, reward: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """State values of the fixed mixtures ``p1``, ``p2``: one solve of (I - discount * P) v = r.
+
+    Raises ``ValueError`` at discount 1 when some state never reaches the
+    terminal under the pair, which makes I - P singular.
+    """
+    s_count = game.state_count
+    joint = p1[:, :, None] * p2[:, None, :]
+    # row s of ``chain`` spreads the joint action's successor probabilities
+    # over the S states and the terminal (the last column)
+    flat = game.next_states + (s_count + 1) * np.arange(s_count)[:, None, None, None]
+    chain = np.bincount(flat.ravel(), (joint[..., None] * game.next_probs).ravel(),
+                        minlength=s_count * (s_count + 1)).reshape(s_count, s_count + 1)
+    if game.discount == 1.0:
+        ends = chain[:, -1] > 0.0  # states that can reach the terminal
+        while True:
+            grown = ends | (chain[:, :-1][:, ends] > 0.0).any(axis=1)
+            if np.array_equal(grown, ends):
+                break
+            ends = grown
+        if not ends.all():
+            stuck = np.flatnonzero(~ends).tolist()
+            raise ValueError(f"discount 1 needs every state to reach the terminal, but under "
+                             f"these policies states {stuck} never do (I - P is singular)")
+    lhs = np.eye(s_count) - game.discount * chain[:, :-1]
+    return np.linalg.solve(lhs, (joint * reward).sum(axis=(1, 2)))
+
+
+def _policy_iteration(game: GameSpec, reward: np.ndarray, opponent: np.ndarray, player: int,
+                      actions: np.ndarray | None = None):
+    """``player``'s exact best reply to a fixed ``opponent`` mixture on a cyclic game.
+
+    Howard's policy iteration on ``player``'s MDP: evaluate the
+    deterministic policy ``actions`` (one action per state; by default the
+    greedy reply at v = 0) with one linear solve, then switch every state
+    whose best action beats its current one by more than ``_GAIN`` times
+    the largest stage entry. Returns the values, the stage rows at them and
+    the final actions.
+    """
+    every = np.arange(game.state_count)
+    one_hot = np.eye(game.action_counts[player])
+    if actions is None:
+        actions = _marginal(reward, opponent, player).argmax(axis=1)
+    v_ext = np.zeros(game.state_count + 1)
+    for _ in range(_MAX_POLICY_STEPS):
+        own = one_hot[actions]
+        pair = (own, opponent) if player == 0 else (opponent, own)
+        v_ext[:-1] = _evaluate(game, reward, *pair)
+        rows = _marginal(_stages(game, reward, v_ext, slice(None)), opponent, player)
+        best = rows.argmax(axis=1)
+        switch = rows[every, best] - rows[every, actions] > _GAIN * np.abs(rows).max()
+        if not switch.any():
+            return v_ext[:-1], rows, actions
+        actions = np.where(switch, best, actions)
+    raise ArithmeticError(f"policy iteration did not settle within {_MAX_POLICY_STEPS} steps")
+
+
+def _strategy_iteration(game: GameSpec):
+    """Hoffman-Karp strategy iteration for the equilibrium of a cyclic game.
+
+    Each step takes the maximizer's stage maximin strategies at the current
+    values (one ``solve_stack`` call) and sets the values to the minimizer's
+    exact best reply to them (policy iteration, warm-started from the last
+    step's reply). It stops when no value moves by more than ``_STOP`` times
+    the payoff scale, or after ``_MAX_STEPS`` steps; one more backup at the
+    final values gives the stages, both strategies and the residual.
+    Returns (v, stages, strategies, residual).
+    """
+    reward = game.reward1
+    horizon = 1.0 if game.discount == 1.0 else 1.0 / (1.0 - game.discount)
+    stop = _STOP * float(np.abs(reward).max()) * horizon
     every = slice(None)
-    for _ in range(max_iters):
-        v_next, _ = reduce(_stages(game, reward, v_ext, every), every)
-        change = float(np.abs(v_next - v).max())
-        v[:] = v_next
-        if change < tol:
+    v_ext = np.zeros(game.state_count + 1)
+    v = v_ext[:-1]
+    actions = None
+    for _ in range(_MAX_STEPS):
+        _, p, _ = solve_stack(_stages(game, reward, v_ext, every))
+        reply, _, actions = _policy_iteration(game, -reward, p, 1, actions)
+        change = float(np.abs(reply + v).max())
+        v[:] = -reply
+        if change <= stop:
             break
     stages = _stages(game, reward, v_ext, every)
-    values, aux = reduce(stages, every)
-    return v, stages, aux, float(np.abs(values - v).max())
+    values, strategies = _maximin(stages, every)
+    return v, stages, strategies, float(np.abs(values - v).max())
 
 
-def solve_ne(game: GameSpec, tol: float = 1e-10, max_iters: int = 100_000) -> NESolution:
-    """Equilibrium of the full Markov game by stage-wise value iteration."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    v1, q1, strategies, residual = _sweep(game, game.reward1, _maximin, tol, max_iters)
+def solve_ne(game: GameSpec) -> NESolution:
+    """Equilibrium of the full Markov game.
+
+    One backward pass of Shapley backups on a topologically ordered game;
+    Hoffman-Karp strategy iteration on a cyclic one (see the module notes
+    for its size limit and the discount-1 requirement).
+    """
+    if game.levels is not None:
+        v1, q1, strategies = _backward(game, game.reward1, _maximin)
+        residual = 0.0
+    else:
+        v1, q1, strategies, residual = _strategy_iteration(game)
     a1 = game.action_counts[0]
     v_star = np.stack([v1, -v1])
     q_star = np.stack([q1, -q1])
     return NESolution(v_star, q_star, Policy(strategies[:, :a1], strategies[:, a1:]), residual)
 
 
-def best_response(game: GameSpec, opponent: np.ndarray, player: int,
-                  tol: float = 1e-12, max_iters: int = 100_000) -> tuple[np.ndarray, float]:
+def best_response(game: GameSpec, opponent: np.ndarray, player: int) -> tuple[np.ndarray, float]:
     """Exact optimal deterministic reply to a fixed opponent mixture.
 
     ``opponent`` is the other player's (S, A) policy table. Returns the
-    one-hot policy (lowest-index argmax) and its value under the game's
-    initial distribution.
+    one-hot policy (lowest-index argmax of the stage rows at the reply's
+    values) and its value under the game's initial distribution. A cyclic
+    game takes policy iteration (see the module notes).
     """
     if player not in (0, 1):
         raise ValueError("player must be 0 or 1")
@@ -114,15 +227,14 @@ def best_response(game: GameSpec, opponent: np.ndarray, player: int,
         raise ValueError("opponent policy does not cover this game")
 
     def reply(stages, s):
-        # the stage matrix marginalised over the opponent's mixture
-        if player == 0:
-            rows = (stages @ opponent[s, :, None])[:, :, 0]
-        else:
-            rows = (opponent[s, None, :] @ stages)[:, 0, :]
+        rows = _marginal(stages, opponent[s], player)
         return rows.max(axis=1), rows
 
     reward = game.reward1 if player == 0 else -game.reward1
-    v, _, rows, _ = _sweep(game, reward, reply, tol, max_iters)
+    if game.levels is not None:
+        v, _, rows = _backward(game, reward, reply)
+    else:
+        v, rows, _ = _policy_iteration(game, reward, opponent, player)
     policy = np.zeros(rows.shape)
     policy[np.arange(game.state_count), rows.argmax(axis=1)] = 1.0
     return policy, float(game.initial_dist @ v)
@@ -162,15 +274,20 @@ def oracle_weight(state: int, member_values: np.ndarray, oracle: NESolution) -> 
     return float(np.mean(gaps**2))
 
 
-def matchup_value(game: GameSpec, p1: np.ndarray, p2: np.ndarray,
-                  tol: float = 1e-12, max_iters: int = 100_000) -> float:
-    """Exact expected return of player 1 when both policies are fixed."""
+def matchup_value(game: GameSpec, p1: np.ndarray, p2: np.ndarray) -> float:
+    """Exact expected return of player 1 when both policies are fixed.
+
+    One backward pass on a topologically ordered game; one linear solve on
+    a cyclic one (see the module notes).
+    """
     joint = Policy(p1, p2)  # validates shapes and rows
 
     def bilinear(stages, s):
         v = (joint.p1[s, None, :] @ stages @ joint.p2[s, :, None])[:, 0, 0]
         return v, v  # no auxiliary output; the values stand in
 
-    v, _, _, _ = _sweep(game, game.reward1, bilinear, tol, max_iters)
+    if game.levels is not None:
+        v = _backward(game, game.reward1, bilinear)[0]
+    else:
+        v = _evaluate(game, game.reward1, joint.p1, joint.p2)
     return float(game.initial_dist @ v)
-

@@ -188,12 +188,31 @@ class Learner:
         self.rng = UniformStream(rng)
         self.qtable = QTable.zeros(game)
         self._policy: Policy | None = None
+        self._built_from: tuple = ()  # copies of the strategies ``_policy`` mixes
+        self._stale = False
         self._greedy: Policy | None = None
         self._samples_since_refresh = 0
 
     def policy(self) -> Policy:
+        """The exploration policy, refreshed once ``batch_size`` samples have gone by.
+
+        A refresh hands back the same object while both players' stage
+        strategies equal the ones it was built from; the mixture is a pure
+        function of them, so the reused object equals a fresh build bit for
+        bit.
+        """
+        q = self.qtable
+        if self._stale:  # only ever at epsilon < 1
+            self._stale = False
+            self._samples_since_refresh = 0
+            q.refresh(np.flatnonzero(q._dirty))
+            if (np.array_equal(self._built_from[0], q._strategies[0])
+                    and np.array_equal(self._built_from[1], q._strategies[1])):
+                return self._policy
+            self._policy = None
         if self._policy is None:
-            self._policy = exploration_policy(self.qtable, self.cfg)
+            self._policy = exploration_policy(q, self.cfg)
+            self._built_from = (q._strategies[0].copy(), q._strategies[1].copy())
             self._samples_since_refresh = 0
         return self._policy
 
@@ -223,5 +242,5 @@ class Learner:
         self._samples_since_refresh += len(episode)
         # at epsilon=1 the policy is uniform whatever the tables hold
         if self.cfg.epsilon < 1.0 and self._samples_since_refresh >= self.cfg.batch_size:
-            self._policy = None  # stale; rebuilt lazily from the updated tables
+            self._stale = True  # refreshed lazily from the updated tables
         return episode

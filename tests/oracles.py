@@ -6,14 +6,16 @@ game tree with that enumerator at every node. The exceptions keep earlier,
 simpler forms of package code as references for faster ones:
 ``shapley_backup`` and ``per_state_value_iteration`` are the equilibrium
 dynamic program with one ``solve`` call per state, the reference for the
-stacked kernel, and ``DictCacheQTable`` with its three functions is the
+stacked kernel (and, by value iteration, an independent check of strategy
+iteration on cyclic games), and ``DictCacheQTable`` with its three functions is the
 minimax-Q learner with a dict of per-(player, state) ``solve`` results, the
 reference for the learner's per-state stage store, and ``reference_rollout``
 is the episode loop with ``np.searchsorted`` draws and one tuple per step,
 the reference for the scalar ``rollout``, and ``merge_buffer_insert`` is
 the buffer insert that always merges, the reference for its member-only
 fast path. ``dense_game`` builds small
-hand-written games from a dense transition tensor; ``episode_of`` and
+hand-written games from a dense transition tensor, ``stopping_game`` turns
+a game into one that ends under every pair of policies at discount 1; ``episode_of`` and
 ``steps_of`` convert between an ``Episode`` and its per-step tuples.
 """
 
@@ -154,6 +156,19 @@ def random_acyclic_game(rng, states=5, a1=2, a2=2, support=2, gamma=0.9) -> Game
                     rng.random((states, 2)))
 
 
+def stopping_game(game: GameSpec, stop: float) -> GameSpec:
+    """``game`` at discount 1, with every transition row sending ``stop`` of its mass to the terminal.
+
+    Every pair of policies then ends with probability one, so the values are
+    finite and I - P is invertible for every fixed pair.
+    """
+    pad = game.next_states.shape[:3] + (1,)
+    next_states = np.concatenate([game.next_states, np.full(pad, game.state_count)], axis=3)
+    next_probs = np.concatenate([(1.0 - stop) * game.next_probs, np.full(pad, stop)], axis=3)
+    return GameSpec(next_states, next_probs, game.reward1, 1.0, game.initial_dist,
+                    game.features)
+
+
 def dense_matchup_values(game: GameSpec, p1, p2) -> np.ndarray:
     """Player 1's state values under a fixed joint policy: (I - gamma P)^-1 r."""
     s_count = game.state_count
@@ -175,11 +190,12 @@ def shapley_backup(game: GameSpec, v1) -> np.ndarray:
 
 
 def per_state_value_iteration(game: GameSpec, tol=1e-10, max_iters=100_000):
-    """``solve_ne``'s dynamic program with each state's stage game solved alone.
+    """The equilibrium dynamic program with each state's stage game solved alone.
 
     A topologically ordered game takes one backward pass, state by state from
-    the top index; any other game takes Jacobi sweeps until the sup-norm
-    change falls below ``tol``, then one more sweep at the final values.
+    the top index, as ``solve_ne`` does; any other game takes Jacobi value
+    iteration sweeps until the sup-norm change falls below ``tol``, then one
+    more sweep at the final values.
     Returns player 1's values and stage matrices, both players' strategies
     and the residual.
     """

@@ -1,16 +1,18 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subgamelab import (GameSpec, GridPursuitParams, Policy, RpsParams,
                         best_response, exploitability, make_grid_pursuit, make_rps,
                         matchup_value, oracle_weight, solve_ne, uniform_policy)
+from subgamelab import evaluation as evaluation_module
 
-from oracles import (dense_matchup_values, per_state_value_iteration,
-                     random_acyclic_game, random_game, shapley_backup,
+from oracles import (dense_game, dense_matchup_values, per_state_value_iteration,
+                     random_acyclic_game, random_game, shapley_backup, stopping_game,
                      tree_maximin_values)
 
 ROCK_ONLY = np.array([[1.0, 0.0, 0.0]])
@@ -54,7 +56,7 @@ def test_solve_ne_bellman_consistency():
     # Q* reproduces V* through one more stage solve, within tolerance
     rng = np.random.default_rng(23)
     game = random_game(rng, states=5, gamma=0.85)
-    ne = solve_ne(game, tol=1e-10)
+    ne = solve_ne(game)
     assert ne.residual <= 1e-10
     backed = shapley_backup(game, ne.v_star[0])
     np.testing.assert_allclose(backed, ne.v_star[0], atol=1e-9)
@@ -68,11 +70,27 @@ def test_solve_ne_duality_via_swapped_game():
     np.testing.assert_allclose(ne_swapped.v_star[0], ne.v_star[1], atol=1e-9)
 
 
-def test_solve_ne_flags_nonconvergence():
+def shapley_gap(game: GameSpec, ne) -> float:
+    return float(np.abs(shapley_backup(game, ne.v_star[0]) - ne.v_star[0]).max())
+
+
+def test_solve_ne_flags_a_spent_step_bound(monkeypatch):
+    # strategy iteration stops at its step bound and reports the residual it left
+    calls = []
+    original = evaluation_module.solve_stack
+
+    def counting(stages):
+        calls.append(len(stages))
+        return original(stages)
+
+    monkeypatch.setattr(evaluation_module, "solve_stack", counting)
+    monkeypatch.setattr(evaluation_module, "_MAX_STEPS", 3)
     rng = np.random.default_rng(37)
     game = random_game(rng, states=5, gamma=0.99)
-    ne = solve_ne(game, tol=1e-12, max_iters=3)
+    ne = solve_ne(game)
+    assert len(calls) == 3 + 1  # one stage solve per step, one for the final backup
     assert not ne.converged(1e-12)
+    assert ne.residual == shapley_gap(game, ne)
 
 
 def test_shapley_contraction_for_discounted_games():
@@ -223,17 +241,121 @@ def _bits(x) -> bytes:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_solve_ne_is_the_per_state_dynamic_program_bit_for_bit(seed):
-    # the stacked stage-game solves change no bit of the equilibrium, on
-    # value iteration (cyclic) and on one backward pass (acyclic)
+    # the stacked stage-game solves change no bit of the backward pass
+    # (acyclic); strategy iteration agrees with value iteration run to a
+    # tight tolerance (cyclic)
     rng = np.random.default_rng(200 + seed)
     cyclic = random_game(rng, states=8, a1=3, a2=3, gamma=0.9, branching=3)
     acyclic = random_acyclic_game(rng, states=12, a1=3, a2=3, support=2)
     assert cyclic.levels is None and acyclic.levels is not None
-    for game in (cyclic, acyclic):
-        ne = solve_ne(game)
-        v, stages, p1, p2, residual = per_state_value_iteration(game)
-        assert _bits(ne.v_star) == _bits(np.stack([v, -v]))
-        assert _bits(ne.q_star) == _bits(np.stack([stages, -stages]))
-        assert _bits(ne.ne_policy.p1) == _bits(p1)
-        assert _bits(ne.ne_policy.p2) == _bits(p2)
-        assert _bits(ne.residual) == _bits(residual)
+    ne = solve_ne(acyclic)
+    v, stages, p1, p2, residual = per_state_value_iteration(acyclic)
+    assert _bits(ne.v_star) == _bits(np.stack([v, -v]))
+    assert _bits(ne.q_star) == _bits(np.stack([stages, -stages]))
+    assert _bits(ne.ne_policy.p1) == _bits(p1)
+    assert _bits(ne.ne_policy.p2) == _bits(p2)
+    assert _bits(ne.residual) == _bits(residual)
+    ne = solve_ne(cyclic)
+    v, stages, _, _, _ = per_state_value_iteration(cyclic, tol=1e-12)
+    np.testing.assert_allclose(ne.v_star, np.stack([v, -v]), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(ne.q_star, np.stack([stages, -stages]), rtol=0, atol=1e-9)
+
+
+def value_scale(game: GameSpec) -> float:
+    """max|r| / (1 - discount), or max|r| at discount 1."""
+    horizon = 1.0 if game.discount == 1.0 else 1.0 / (1.0 - game.discount)
+    return float(np.abs(game.reward1).max()) * horizon
+
+
+def deterministic_policies(states: int, actions: int):
+    for choice in itertools.product(range(actions), repeat=states):
+        yield np.eye(actions)[list(choice)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 3), player=st.sampled_from([0, 1]),
+       gamma=st.sampled_from([0.5, 0.9, 0.99]))
+def test_cyclic_best_response_is_the_best_deterministic_policy(seed, states, player, gamma):
+    # policy iteration against the enumeration of every deterministic
+    # policy, each scored by a dense linear solve
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, states=states, a1=2, a2=2, gamma=gamma, branching=2)
+    assume(game.levels is None)
+    p1, p2 = random_joint(rng, game)
+
+    def score(own):
+        pair = (own, p2) if player == 0 else (p1, own)
+        value = game.initial_dist @ dense_matchup_values(game, *pair)
+        return value if player == 0 else -value
+
+    best = max(score(own) for own in deterministic_policies(states, 2))
+    policy, value = best_response(game, p2 if player == 0 else p1, player)
+    tol = 1e-12 * value_scale(game)
+    assert value == pytest.approx(best, abs=tol)
+    assert score(policy) == pytest.approx(best, abs=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 7),
+       a1=st.integers(1, 3), a2=st.integers(1, 3), gamma=st.sampled_from([0.5, 0.9, 0.99]))
+def test_cyclic_matchup_value_is_the_dense_linear_solve(seed, states, a1, a2, gamma):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, states=states, a1=a1, a2=a2, gamma=gamma, branching=2)
+    assume(game.levels is None)
+    p1, p2 = random_joint(rng, game)
+    expected = game.initial_dist @ dense_matchup_values(game, p1, p2)
+    assert abs(matchup_value(game, p1, p2) - expected) <= 1e-12
+
+
+CYCLIC_CASES = [(seed, gamma) for gamma in (0.7, 0.9, 0.99) for seed in range(3)]
+
+
+@pytest.mark.parametrize("seed, gamma", CYCLIC_CASES)
+def test_strategy_iteration_residual_is_relative_to_the_value_scale(seed, gamma):
+    rng = np.random.default_rng(300 + seed)
+    game = random_game(rng, states=8, a1=3, a2=3, gamma=gamma, branching=3)
+    assert game.levels is None
+    ne = solve_ne(game)
+    assert ne.residual <= 1e-12 * value_scale(game)
+    assert ne.residual == shapley_gap(game, ne)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_strategy_iteration_on_a_terminating_undiscounted_game(seed):
+    rng = np.random.default_rng(400 + seed)
+    game = stopping_game(random_game(rng, states=6, a1=3, a2=2, gamma=0.9, branching=3), 0.2)
+    assert game.discount == 1.0 and game.levels is None
+    ne = solve_ne(game)
+    assert ne.residual <= 1e-12 * value_scale(game)
+    assert ne.residual == shapley_gap(game, ne)
+    assert_policies_earn_their_values(game, ne, *random_joint(rng, game))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_solve_ne_residual_is_honest_at_extreme_scales(scale):
+    # the reported residual is the Shapley gap recomputed independently;
+    # this checks that it is honest, not that it is small
+    game = random_game(np.random.default_rng(17), states=6, a1=3, a2=3, gamma=0.9, branching=3)
+    game = dataclasses.replace(game, reward1=scale * game.reward1)
+    ne = solve_ne(game)
+    assert np.isfinite(ne.v_star).all()
+    assert ne.residual == shapley_gap(game, ne)
+
+
+def test_undiscounted_chain_that_never_ends_fails_loudly():
+    # state 1 ends only under the joint action (0, 0); elsewhere the chain
+    # cycles between the two states, so I - P is singular for other pairs
+    transition = np.zeros((2, 2, 2, 3))
+    transition[0, :, :, 1] = 1.0
+    transition[1, :, :, 0] = 1.0
+    transition[1, 0, 0] = [0.0, 0.0, 1.0]
+    game = dense_game(transition, np.ones((2, 2, 2)), 1.0, np.array([1.0, 0.0]))
+    first = np.tile([1.0, 0.0], (2, 1))
+    assert matchup_value(game, first, first) == 2.0
+    second = np.tile([0.0, 1.0], (2, 1))
+    with pytest.raises(ValueError, match="discount 1 needs every state to reach the terminal"):
+        matchup_value(game, second, first)
+    with pytest.raises(ValueError, match="never"):
+        best_response(game, first, player=0)  # the maximizer's best reply never ends
+    with pytest.raises(ValueError, match="never"):
+        solve_ne(game)

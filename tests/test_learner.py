@@ -332,16 +332,63 @@ def test_uniform_exploration_policy_is_built_once(monkeypatch):
 
 
 def test_mixed_exploration_policy_rebuilt_after_a_write(monkeypatch):
+    # writes that leave both stage strategies as they were reuse the policy;
+    # the first write that moves one rebuilds it
     builds = count_policy_builds(monkeypatch)
     game = rps_game(3)
     cfg = LearnerConfig(lr=1.0, lr_decay=None, epsilon=0.5, batch_size=1)
     lr = Learner(game, cfg, np.random.default_rng(0))
-    episodes = 0
-    while not lr.qtable.q.any():
+    policy = lr.policy()
+    writes = 0
+    for _ in range(1000):
+        before = lr.qtable.q.copy()
         lr.run_episode(0, 10)
-        episodes += 1
-    lr.run_episode(0, 10)  # drawn under the policy rebuilt after the write
-    assert builds == [0.5] * (episodes + 1)
+        writes += not np.array_equal(before, lr.qtable.q)
+        fresh = exploration_policy(lr.qtable, cfg)
+        if not (np.array_equal(fresh.p1, policy.p1) and np.array_equal(fresh.p2, policy.p2)):
+            break
+        assert lr.policy() is policy
+    else:
+        pytest.fail("no write moved a stage strategy")
+    assert writes > 1 and builds == [0.5]
+    rebuilt = lr.policy()
+    assert rebuilt is not policy and builds == [0.5, 0.5]
+    assert rebuilt.p1.tobytes() == fresh.p1.tobytes()
+    assert rebuilt.p2.tobytes() == fresh.p2.tobytes()
+
+
+class RebuildingLearner(Learner):
+    """The learner with every stale exploration policy rebuilt from scratch."""
+
+    def policy(self):
+        if self._stale:
+            self._stale = False
+            self._policy = None
+        if self._policy is None:
+            self._policy = learner_module.exploration_policy(self.qtable, self.cfg)
+            self._samples_since_refresh = 0
+        return self._policy
+
+
+@pytest.mark.parametrize("game", ["grid", "cyclic2x3"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_reused_exploration_policy_equals_a_fresh_rebuild_bit_for_bit(monkeypatch, game,
+                                                                       batch_size):
+    builds = count_policy_builds(monkeypatch)
+    game = REFERENCE_GAMES[game]
+    cfg = LearnerConfig(lr=0.5, lr_decay=None, epsilon=0.5, batch_size=batch_size)
+
+    def run(learner):
+        runs = []
+        for _ in range(300):
+            episode = learner.run_episode(sample_initial(game, learner.rng), 6)
+            runs.append((episode, learner.qtable.q.tobytes()))
+        return runs
+
+    reused = run(Learner(game, cfg, np.random.default_rng(9)))
+    reused_builds = len(builds)
+    assert reused == run(RebuildingLearner(game, cfg, np.random.default_rng(9)))
+    assert 1 < reused_builds < len(builds) - reused_builds  # rebuilt, and reused more often
 
 
 @pytest.mark.parametrize("epsilon, batch_size", [(1.0, 1), (0.5, 3)])
