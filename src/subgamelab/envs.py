@@ -7,8 +7,8 @@ to a strictly larger index and backward sweeps are exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
-from itertools import product
 
 import numpy as np
 
@@ -29,6 +29,19 @@ class ConfigError(ValueError):
         self.problems = problems
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_float(value) -> bool:
+    """Whether the real ``value`` is finite as a float; an int beyond its range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class RpsParams:
     """Rounds of the iterated game; tabular oracles stay practical to n=12.
@@ -39,6 +52,9 @@ class RpsParams:
     n: int
 
     def __post_init__(self):
+        if not _is_integer(self.n):
+            raise ConfigError("invalid rps parameters", [
+                f"rps_n must be an integer, got {self.n!r}"])
         if not 1 <= self.n <= 12:
             raise ConfigError("invalid rps parameters", [
                 f"rps_n must lie in 1..12 (tabular oracles), got {self.n}"])
@@ -89,14 +105,21 @@ class GridPursuitParams:
         for key, value, least in (("grid_width", self.width, 2),
                                   ("grid_height", self.height, 2),
                                   ("grid_horizon", self.horizon, 1)):
-            if value < least:
+            if not _is_integer(value):
+                problems.append(f"{key} must be an integer, got {value!r}")
+            elif value < least:
                 problems.append(f"{key} must be >= {least}, got {value}")
-        if not math.isfinite(self.capture_reward):
-            problems.append(f"capture_reward must be finite, got {self.capture_reward}")
-        states = (self.width * self.height) ** 2 * self.horizon
-        if not problems and states > 100_000:
-            problems.append("grid pursuit state space too large for tabular play: "
-                            f"(grid_width * grid_height)^2 * grid_horizon = {states} > 100000")
+        reward = self.capture_reward
+        if not isinstance(reward, numbers.Real) or isinstance(reward, bool):
+            problems.append(f"capture_reward must be a real number, got {reward!r}")
+        elif not _is_finite_float(reward):
+            problems.append(f"capture_reward must be finite, got {reward}")
+        if not problems:
+            # Python ints, so a large numpy size cannot wrap round
+            states = (int(self.width) * int(self.height)) ** 2 * int(self.horizon)
+            if states > 100_000:
+                problems.append("grid pursuit state space too large for tabular play: "
+                                f"(grid_width * grid_height)^2 * grid_horizon = {states} > 100000")
         if problems:
             raise ConfigError("invalid grid_pursuit parameters", problems)
 
@@ -111,48 +134,50 @@ def make_grid_pursuit(params: GridPursuitParams) -> GameSpec:
     Reaching the horizon without a capture ends with zero reward. Episodes
     start uniformly over the distinct-cell configurations at t=0. Features
     are the two cell coordinates and the timestep, each scaled to [0, 1].
+
+    States are ordered by timestep first. Within a step, the distinct
+    (predator, prey) cell pairs follow ``itertools.product`` order, so state
+    ``t * P + i`` is pair i of the P pairs at timestep t; cell c lies at
+    x = c % width, y = c // width. ``tests/test_envs.grid_state`` and the
+    benchmark's feature lookup both rely on this order.
     """
-    w, h, hor = params.width, params.height, params.horizon
+    w, h, hor = int(params.width), int(params.height), int(params.horizon)
     cells = w * h
-    pairs = [(p, e) for p, e in product(range(cells), repeat=2) if p != e]
-    pair_index = {pe: i for i, pe in enumerate(pairs)}
-    per_step = len(pairs)
+    x, y = np.arange(cells) % w, np.arange(cells) // w
+    dx, dy = np.array(MOVES).T
+    moved = np.clip(y[:, None] + dy, 0, h - 1) * w + np.clip(x[:, None] + dx, 0, w - 1)
+
+    pred, prey = np.divmod(np.arange(cells * cells), cells)
+    distinct = pred != prey
+    pred, prey = pred[distinct], prey[distinct]
+    per_step = pred.size
     s_count = per_step * hor
     terminal = s_count
+    pair_index = np.full((cells, cells), -1, dtype=np.int64)
+    pair_index[pred, prey] = np.arange(per_step)
 
-    def clamp_move(cell: int, move: int) -> int:
-        x, y = cell % w, cell // w
-        dx, dy = MOVES[move]
-        nx = min(max(x + dx, 0), w - 1)
-        ny = min(max(y + dy, 0), h - 1)
-        return ny * w + nx
+    # (pair, a1, a2): the cells after both moves
+    p_new, e_new = moved[pred][:, :, None], moved[prey][:, None, :]
+    captured = (p_new == e_new) | ((p_new == prey[:, None, None]) & (e_new == pred[:, None, None]))
+    live = ~captured
+    next_states = np.full((hor, per_step, 5, 5), terminal, dtype=np.int64)
+    step_base = np.arange(1, hor, dtype=np.int64)[:, None] * per_step
+    next_states[:-1, live] = step_base + pair_index[p_new, e_new][live]
+    reward1 = np.zeros((hor, per_step, 5, 5))
+    reward1[:, captured] = params.capture_reward
 
-    next_states = np.full((s_count, 5, 5, 1), terminal, dtype=np.int64)
-    next_probs = np.ones((s_count, 5, 5, 1))
-    reward1 = np.zeros((s_count, 5, 5))
-    features = np.zeros((s_count, 5))
-    for t in range(hor):
-        for (p, e), pi in pair_index.items():
-            s = t * per_step + pi
-            features[s] = (
-                (p % w) / (w - 1),
-                (p // w) / (h - 1),
-                (e % w) / (w - 1),
-                (e // w) / (h - 1),
-                t / (hor - 1) if hor > 1 else 0.0,
-            )
-            for a1 in range(5):
-                p_new = clamp_move(p, a1)
-                for a2 in range(5):
-                    e_new = clamp_move(e, a2)
-                    captured = p_new == e_new or (p_new == e and e_new == p)
-                    if captured:
-                        reward1[s, a1, a2] = params.capture_reward
-                    elif t + 1 < hor:
-                        next_states[s, a1, a2, 0] = (t + 1) * per_step + pair_index[(p_new, e_new)]
+    features = np.empty((hor, per_step, 5))
+    features[:, :, 0] = x[pred] / (w - 1)
+    features[:, :, 1] = y[pred] / (h - 1)
+    features[:, :, 2] = x[prey] / (w - 1)
+    features[:, :, 3] = y[prey] / (h - 1)
+    features[:, :, 4] = (np.arange(hor) / max(hor - 1, 1))[:, None]
+
     rho = np.zeros(s_count)
     rho[:per_step] = 1.0 / per_step
-    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=hor)
+    return GameSpec(next_states.reshape(s_count, 5, 5, 1), np.ones((s_count, 5, 5, 1)),
+                    reward1.reshape(s_count, 5, 5), 1.0, rho,
+                    features.reshape(s_count, 5), horizon=hor)
 
 
 # flat config key -> parameter field, per environment
@@ -167,18 +192,26 @@ ENV_KEYS = {
 def env_params(name: str, flat: dict) -> RpsParams | GridPursuitParams:
     """The parameters of environment ``name`` from flat config keys.
 
-    A key left out keeps its field's default; a missing required key, or
-    any out-of-range value, raises :class:`ConfigError` listing them all.
+    A key left out keeps its field's default. A key of another environment,
+    a missing required key, or any out-of-range value raises
+    :class:`ConfigError` listing them all.
     """
     if name not in ENV_KEYS:
         raise ValueError(f"unknown environment '{name}' (expected rps or grid_pursuit)")
     cls, keys = ENV_KEYS[name]
     required = {f.name for f in fields(cls) if f.default is MISSING}
+    problems = [f"key '{key}' does not apply to env {name}" for key in flat if key not in keys]
     missing = [f"env {name} requires {key}" for key, field in keys.items()
                if field in required and key not in flat]
-    if missing:
-        raise ConfigError(f"invalid {name} parameters", missing)
-    return cls(**{field: flat[key] for key, field in keys.items() if key in flat})
+    problems += missing
+    if not missing:
+        try:
+            params = cls(**{field: flat[key] for key, field in keys.items() if key in flat})
+        except ConfigError as exc:
+            problems += exc.problems
+    if problems:
+        raise ConfigError(f"invalid {name} parameters", problems)
+    return params
 
 
 def build_env(name: str, params: dict) -> GameSpec:

@@ -13,17 +13,21 @@ reference for the learner's per-state stage store, and ``reference_rollout``
 is the episode loop with ``np.searchsorted`` draws and one tuple per step,
 the reference for the scalar ``rollout``, and ``merge_buffer_insert`` is
 the buffer insert that always merges, the reference for its member-only
-fast path. ``dense_game`` builds small
+fast path, and ``loop_grid_pursuit`` is the grid-pursuit builder as one
+Python loop per (state, action pair), the reference for the array-built
+``make_grid_pursuit``. ``dense_game`` builds small
 hand-written games from a dense transition tensor, ``stopping_game`` turns
 a game into one that ends under every pair of policies at discount 1; ``episode_of`` and
 ``steps_of`` convert between an ``Episode`` and its per-step tuples.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from subgamelab import Episode, GameSpec, Policy, WeightedStateBuffer, solve
+from subgamelab import (Episode, GameSpec, GridPursuitParams, Policy, WeightedStateBuffer,
+                        solve)
+from subgamelab.envs import MOVES
 
 
 def support_enumeration_value(payoff, tol=1e-9):
@@ -378,3 +382,60 @@ def merge_buffer_insert(buf: WeightedStateBuffer, states, game: GameSpec) -> Wei
     buf.weights = np.concatenate([buf.weights[old], new_weights])[order]
     buf.features = np.concatenate([old_features, game.features[new_states]])[order]
     return buf
+
+
+def loop_grid_pursuit(params: GridPursuitParams) -> GameSpec:
+    """Predator-prey pursuit built by one loop over (t, predator, prey, a1, a2).
+
+    The loop form of ``make_grid_pursuit``, which must equal it bit for bit.
+
+    A state is (predator cell, prey cell, timestep) with distinct cells; both
+    agents pick one of five moves at once. Landing on the prey's cell or
+    swapping cells captures (swap counts so the prey cannot pass through the
+    predator), paying the predator +capture_reward and ending the episode.
+    Reaching the horizon without a capture ends with zero reward. Episodes
+    start uniformly over the distinct-cell configurations at t=0. Features
+    are the two cell coordinates and the timestep, each scaled to [0, 1].
+    """
+    w, h, hor = params.width, params.height, params.horizon
+    cells = w * h
+    pairs = [(p, e) for p, e in product(range(cells), repeat=2) if p != e]
+    pair_index = {pe: i for i, pe in enumerate(pairs)}
+    per_step = len(pairs)
+    s_count = per_step * hor
+    terminal = s_count
+
+    def clamp_move(cell: int, move: int) -> int:
+        x, y = cell % w, cell // w
+        dx, dy = MOVES[move]
+        nx = min(max(x + dx, 0), w - 1)
+        ny = min(max(y + dy, 0), h - 1)
+        return ny * w + nx
+
+    next_states = np.full((s_count, 5, 5, 1), terminal, dtype=np.int64)
+    next_probs = np.ones((s_count, 5, 5, 1))
+    reward1 = np.zeros((s_count, 5, 5))
+    features = np.zeros((s_count, 5))
+    for t in range(hor):
+        for (p, e), pi in pair_index.items():
+            s = t * per_step + pi
+            features[s] = (
+                (p % w) / (w - 1),
+                (p // w) / (h - 1),
+                (e % w) / (w - 1),
+                (e // w) / (h - 1),
+                t / (hor - 1) if hor > 1 else 0.0,
+            )
+            for a1 in range(5):
+                p_new = clamp_move(p, a1)
+                for a2 in range(5):
+                    e_new = clamp_move(e, a2)
+                    captured = p_new == e_new or (p_new == e and e_new == p)
+                    if captured:
+                        reward1[s, a1, a2] = params.capture_reward
+                    elif t + 1 < hor:
+                        next_states[s, a1, a2, 0] = (t + 1) * per_step + pair_index[(p_new, e_new)]
+    rho = np.zeros(s_count)
+    rho[:per_step] = 1.0 / per_step
+    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=hor)
+

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subgamelab import (GridPursuitParams, RpsParams, build_env,
                         make_grid_pursuit, make_rps, solve_ne)
 from subgamelab.envs import RPS_WINS
 
-from oracles import tree_maximin_values
+from oracles import loop_grid_pursuit, tree_maximin_values
 
 
 def test_rps_structure():
@@ -123,6 +124,9 @@ def test_grid_rejects_intractable_and_tiny_sizes():
         GridPursuitParams(1, 3, 4)
     with pytest.raises(ValueError):
         GridPursuitParams(10, 10, 20)
+    # (2^16 * 2^16)^2 wraps to 0 in int64; the cap must still see 2^64
+    with pytest.raises(ValueError, match="state space too large"):
+        GridPursuitParams(np.int64(2**16), np.int64(2**16), np.int64(1))
 
 
 def test_grid_params_report_every_problem_together():
@@ -130,6 +134,73 @@ def test_grid_params_report_every_problem_together():
         GridPursuitParams(1, 1, 0, capture_reward=float("inf"))
     assert [p.split(" must")[0] for p in err.value.problems] == [
         "grid_width", "grid_height", "grid_horizon", "capture_reward"]
+
+
+@pytest.mark.parametrize("args, kwargs, keys", [
+    ((2.5, 3, 4), {}, ["grid_width"]),
+    ((3, 3, True), {}, ["grid_horizon"]),
+    (("3", np.float64(3.0), 0), {"capture_reward": "1"},
+     ["grid_width", "grid_height", "grid_horizon", "capture_reward"]),
+    ((3, 3, 4), {"capture_reward": True}, ["capture_reward"]),
+    ((3, 3, 4), {"capture_reward": 10**400}, ["capture_reward"]),
+], ids=["float_width", "bool_horizon", "all_four", "bool_reward", "int_beyond_float"])
+def test_grid_params_reject_non_integer_sizes_and_non_real_rewards(args, kwargs, keys):
+    with pytest.raises(ValueError) as err:
+        GridPursuitParams(*args, **kwargs)
+    assert [p.split(" must")[0] for p in err.value.problems] == keys
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None])
+def test_rps_params_name_a_non_integer_round_count(n):
+    with pytest.raises(ValueError) as err:
+        RpsParams(n)
+    assert err.value.problems == [f"rps_n must be an integer, got {n!r}"]
+
+
+def test_params_accept_numpy_integers_and_reals():
+    assert make_rps(RpsParams(np.int64(2))).state_count == 2
+    params = GridPursuitParams(np.int64(2), np.int32(2), np.int8(2),
+                               capture_reward=np.float32(0.5))
+    game = make_grid_pursuit(params)
+    assert game.state_count == 24 and game.reward1.max() == 0.5
+
+
+@pytest.mark.parametrize("name, flat, foreign", [
+    ("rps", {"rps_n": 2, "grid_width": 5, "capture_reward": 2.0},
+     ["grid_width", "capture_reward"]),
+    ("grid_pursuit", {"rps_n": 3, "grid_width": 2, "grid_height": 2, "grid_horizon": 1},
+     ["rps_n"]),
+])
+def test_build_env_rejects_keys_of_the_other_env(name, flat, foreign):
+    with pytest.raises(ValueError) as err:
+        build_env(name, flat)
+    assert err.value.problems == [f"key '{key}' does not apply to env {name}"
+                                  for key in foreign]
+
+
+def assert_same_game(game, reference):
+    for name in ("next_states", "next_probs", "reward1", "initial_dist", "features"):
+        built, expected = getattr(game, name), getattr(reference, name)
+        assert built.dtype == expected.dtype and built.shape == expected.shape, name
+        assert built.tobytes() == expected.tobytes(), name
+    assert game.discount == reference.discount
+    assert game.horizon == reference.horizon
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(2, 5), height=st.integers(2, 5), horizon=st.integers(1, 6),
+       capture_reward=st.one_of(st.just(0.0), st.just(-0.0),
+                                st.floats(allow_nan=False, allow_infinity=False)))
+def test_grid_is_the_loop_builder_bit_for_bit(width, height, horizon, capture_reward):
+    params = GridPursuitParams(width, height, horizon, capture_reward)
+    assert_same_game(make_grid_pursuit(params), loop_grid_pursuit(params))
+
+
+def test_grid_of_1440_states_is_the_loop_builder_bit_for_bit():
+    params = GridPursuitParams(4, 4, 6, capture_reward=-2.0)
+    game = make_grid_pursuit(params)
+    assert game.state_count == 1440
+    assert_same_game(game, loop_grid_pursuit(params))
 
 
 def test_build_env_dispatch():

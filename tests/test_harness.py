@@ -255,7 +255,14 @@ def test_parse_config_reports_range_errors_with_the_rest():
     ("env = rps\nrps_n = 13\nmethod = sacl\n", ["rps_n must lie in 1..12"]),
     ("env = grid_pursuit\nmethod = sacl\ngrid_width = 1\ngrid_height = 2\n"
      "grid_horizon = 0\n", ["grid_width must be >= 2", "grid_horizon must be >= 1"]),
-], ids=["rps_n_0_and_capacity_k", "rps_n_13", "grid_width_and_horizon"])
+    ("env = rps\nrps_n = 3\nmethod = sacl\ngrid_width = 5\ncapture_reward = 2\n",
+     ["key 'grid_width' does not apply to env rps",
+      "key 'capture_reward' does not apply to env rps"]),
+    ("env = grid_pursuit\nmethod = sacl\nrps_n = 3\ngrid_width = 1\ngrid_height = 2\n"
+     "grid_horizon = 2\n",
+     ["key 'rps_n' does not apply to env grid_pursuit", "grid_width must be >= 2"]),
+], ids=["rps_n_0_and_capacity_k", "rps_n_13", "grid_width_and_horizon",
+        "grid_keys_on_rps", "rps_key_on_grid"])
 def test_parse_config_reports_env_range_errors_with_the_rest(text, fragments):
     # environment parameters are checked in parse_config, each problem on its
     # own line under the one heading and naming its key
