@@ -38,24 +38,24 @@ def _add_env_args(parser) -> None:
     parser.add_argument("--capture-reward", type=float, default=1.0)
 
 
+def _write_output(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_train(args) -> None:
     with open(args.config) as fh:
         cfg = harness.parse_config(fh.read())
-    record = harness.run_experiment(cfg)
-    if args.out:
-        record.write_csv(args.out)
-    else:
-        sys.stdout.write(record.to_csv())
+    _write_output(harness.run_experiment(cfg).to_csv(), args.out)
 
 
 def cmd_replicate_fig2(args) -> None:
     rows = harness.replicate_fig2(args.n_max, args.seeds)
-    csv_text = harness.fig2_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_output(harness.fig2_to_csv(rows), args.out)
 
 
 def cmd_coverage(args) -> None:

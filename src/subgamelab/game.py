@@ -181,13 +181,8 @@ class Policy:
             raise ValueError("p1 and p2 must cover the same states")
 
     @cached_property
-    def row_cdfs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative sums of each player's rows, for inverse-CDF draws."""
-        return np.cumsum(self.p1, axis=1), np.cumsum(self.p2, axis=1)
-
-    @cached_property
     def row_cdf_lists(self) -> tuple[list, list]:
-        """Per-state slots for each player's ``row_cdfs`` row as a list.
+        """Per-state slots for the cumulative sums of each player's row, as lists.
 
         A slot is None until :func:`rollout` first draws from that row and
         fills it, so a policy used for many episodes converts each row it
@@ -256,7 +251,7 @@ def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng | UniformStream,
         raise ValueError(f"rollout start {s0} out of range")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    cum1, cum2 = policy.row_cdfs
+    p1, p2 = policy.p1, policy.p2
     rows1, rows2 = policy.row_cdf_lists
     next_states, next_probs, reward1 = game.next_states, game.next_probs, game.reward1
     deterministic = next_states.shape[3] == 1
@@ -266,8 +261,8 @@ def rollout(game: GameSpec, policy: Policy, s0: int, rng: Rng | UniformStream,
     for _ in range(max_steps):
         row1, row2 = rows1[s], rows2[s]
         if row1 is None:
-            row1 = rows1[s] = cum1[s].tolist()
-            row2 = rows2[s] = cum2[s].tolist()
+            row1 = rows1[s] = np.cumsum(p1[s]).tolist()
+            row2 = rows2[s] = np.cumsum(p2[s]).tolist()
         a1 = _draw(row1, rng)
         a2 = _draw(row2, rng)
         k = 0 if deterministic else _draw(np.cumsum(next_probs[s, a1, a2]).tolist(), rng)

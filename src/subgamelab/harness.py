@@ -65,10 +65,6 @@ class ExperimentRecord:
                       f"{r.wall_clock!r}\n")
         return out.getvalue()
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -175,7 +171,6 @@ def _run_single(cfg: RunConfig, game: GameSpec, oracle: NESolution,
     learners = [Learner(game, cfg.learner, np.random.default_rng([seed, m]))
                 for m in range(n_learners)]
     buf = WeightedStateBuffer(cfg.capacity_k) if cfg.method == "sacl" else None
-    sampler = cfg.sampler if cfg.method == "sacl" else SamplerConfig(p=0.0)
     ev = _Evaluator(cfg, game, oracle, learners, buf, seed)
     cap = _episode_cap(game)
 
@@ -194,7 +189,8 @@ def _run_single(cfg: RunConfig, game: GameSpec, oracle: NESolution,
         return
 
     while not ev.should_stop:
-        _, buf, rows = curriculum_epoch(learners, buf, game, cfg.metric, sampler,
+        # without a buffer (self_play) every start comes from the game's own distribution
+        _, buf, rows = curriculum_epoch(learners, buf, game, cfg.metric, cfg.sampler,
                                         cfg.episodes_per_epoch, cap, evaluator=ev)
         yield from rows
 
@@ -415,10 +411,11 @@ def _build(make, kwargs: dict, errors: list[str]):
 def parse_config(text: str) -> RunConfig:
     """Parse a flat ``key = value`` config into a RunConfig.
 
-    Unknown keys, bad values, missing required keys and out-of-range
-    settings are all collected and reported together.
+    Unknown or repeated keys, bad values, missing required keys and
+    out-of-range settings are all collected and reported together.
     """
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     errors: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -431,6 +428,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in _CONFIG_KEYS:
             errors.append(f"line {lineno}: unknown key '{key}'")
             continue
+        if key in line_of:
+            errors.append(f"line {lineno}: key '{key}' repeats line {line_of[key]}")
+            continue
+        line_of[key] = lineno
         raw[key] = value
 
     parts: dict[str, dict] = {part: {} for part, _ in _CONFIG_KEYS.values()}

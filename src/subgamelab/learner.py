@@ -10,7 +10,7 @@ a batch of states at a time, only after a Q-row changes: the LP dominates.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,8 @@ class QTable:
     its own table from the shared stream. The stage store keeps every state's
     solved stage games: the (2, S) maximin values and each player's maximin
     row strategies, (S, A1) and (S, A2). A write only marks its state dirty
-    (all states start dirty); :meth:`refresh` is the one place that solves.
+    (all states start dirty); :meth:`refresh` is the one place that solves,
+    and :meth:`solved` and :meth:`stage_solution` are the readers.
     """
 
     q: np.ndarray  # (2, S, A1, A2)
@@ -89,6 +90,14 @@ class QTable:
             stages = self.q[0, rows] if player == 0 else self.q[1, rows].transpose(0, 2, 1)
             self._values[player, rows], strategies[rows], _ = solve_stack(stages)
         self._dirty[rows] = False
+
+    def solved(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The whole store, dirty rows re-solved: (2, S) values and both strategy tables.
+
+        The arrays are the store's own; callers copy what they keep.
+        """
+        self.refresh(np.flatnonzero(self._dirty))
+        return self._values, self._strategies
 
     def stage_solution(self, player: int, state: int) -> tuple[float, np.ndarray]:
         """``player``'s maximin value and row strategy (a view) at ``state``."""
@@ -141,20 +150,19 @@ def minimax_q_update(q: QTable, episode: Episode, cfg: LearnerConfig,
     return q
 
 
-def exploration_policy(q: QTable, cfg: LearnerConfig) -> Policy:
+def exploration_policy(q: QTable, epsilon: float) -> Policy:
     """Epsilon-mixture of uniform play and each player's maximin strategy.
 
     The mixture is formed in closed form (randomness is consumed at rollout
     time), so with epsilon=1 no stage game needs solving.
     """
     _, s_count, a1, a2 = q.q.shape
-    eps = cfg.epsilon
-    p1 = np.full((s_count, a1), eps / a1)
-    p2 = np.full((s_count, a2), eps / a2)
-    if eps < 1.0:
-        q.refresh(np.flatnonzero(q._dirty))
-        p1 += (1.0 - eps) * q._strategies[0]
-        p2 += (1.0 - eps) * q._strategies[1]
+    p1 = np.full((s_count, a1), epsilon / a1)
+    p2 = np.full((s_count, a2), epsilon / a2)
+    if epsilon < 1.0:
+        _, (s1, s2) = q.solved()
+        p1 += (1.0 - epsilon) * s1
+        p2 += (1.0 - epsilon) * s2
     return Policy(p1, p2)
 
 
@@ -164,8 +172,7 @@ def values_from_q(q: QTable) -> np.ndarray:
     Returns a (2, S) copy; only rows invalidated since the last call are
     re-solved.
     """
-    q.refresh(np.flatnonzero(q._dirty))
-    return q._values.copy()
+    return q.solved()[0].copy()
 
 
 def q_error(q: QTable, oracle) -> float:
@@ -187,51 +194,43 @@ class Learner:
         self.cfg = cfg
         self.rng = UniformStream(rng)
         self.qtable = QTable.zeros(game)
+        # epsilon -> (its mixture, copies of the strategies the mixture mixes)
+        self._mixtures: dict[float, tuple[Policy, tuple]] = {}
         self._policy: Policy | None = None
-        self._built_from: tuple = ()  # copies of the strategies ``_policy`` mixes
-        self._stale = False
-        self._greedy: Policy | None = None
-        self._samples_since_refresh = 0
+        self._samples = 0  # samples collected under ``_policy``
+
+    def _mixture(self, epsilon: float) -> Policy:
+        """The epsilon-mixture of the current tables, reused while its strategies stand.
+
+        The mixture is a pure function of (strategies, epsilon), so the
+        stored object equals a fresh build bit for bit while both players'
+        strategies equal its copies; a caller may reuse anything it computed
+        from that object. At epsilon=1 it mixes no strategy, so nothing is
+        solved or compared.
+        """
+        strategies = () if epsilon == 1.0 else self.qtable.solved()[1]
+        cached = self._mixtures.get(epsilon)
+        if cached is None or not all(map(np.array_equal, cached[1], strategies)):
+            cached = (exploration_policy(self.qtable, epsilon),
+                      tuple(s.copy() for s in strategies))
+            self._mixtures[epsilon] = cached
+        return cached[0]
 
     def policy(self) -> Policy:
         """The exploration policy, refreshed once ``batch_size`` samples have gone by.
 
-        A refresh hands back the same object while both players' stage
-        strategies equal the ones it was built from; the mixture is a pure
-        function of them, so the reused object equals a fresh build bit for
-        bit.
+        At epsilon=1 the policy is uniform whatever the tables hold, so it is
+        built once and never refreshed.
         """
-        q = self.qtable
-        if self._stale:  # only ever at epsilon < 1
-            self._stale = False
-            self._samples_since_refresh = 0
-            q.refresh(np.flatnonzero(q._dirty))
-            if (np.array_equal(self._built_from[0], q._strategies[0])
-                    and np.array_equal(self._built_from[1], q._strategies[1])):
-                return self._policy
-            self._policy = None
-        if self._policy is None:
-            self._policy = exploration_policy(q, self.cfg)
-            self._built_from = (q._strategies[0].copy(), q._strategies[1].copy())
-            self._samples_since_refresh = 0
+        cfg = self.cfg
+        if self._policy is None or (cfg.epsilon < 1.0 and self._samples >= cfg.batch_size):
+            self._policy = self._mixture(cfg.epsilon)
+            self._samples = 0
         return self._policy
 
     def greedy_policy(self) -> Policy:
-        """The epsilon=0 policy of the current tables.
-
-        Returns the previous call's object while both players' stage
-        strategies equal its rows, so a caller may reuse anything it
-        computed from that object; at epsilon=0 the policy is the
-        strategies themselves, so the reused object equals a fresh build
-        bit for bit.
-        """
-        q = self.qtable
-        q.refresh(np.flatnonzero(q._dirty))
-        last = self._greedy
-        if (last is None or not np.array_equal(last.p1, q._strategies[0])
-                or not np.array_equal(last.p2, q._strategies[1])):
-            self._greedy = exploration_policy(q, replace(self.cfg, epsilon=0.0))
-        return self._greedy
+        """The epsilon=0 policy of the current tables (the same object while it stands)."""
+        return self._mixture(0.0)
 
     def values(self) -> np.ndarray:
         return values_from_q(self.qtable)
@@ -239,8 +238,5 @@ class Learner:
     def run_episode(self, s0: int, max_steps: int) -> Episode:
         episode = rollout(self.game, self.policy(), s0, self.rng, max_steps)
         minimax_q_update(self.qtable, episode, self.cfg, self.game.discount)
-        self._samples_since_refresh += len(episode)
-        # at epsilon=1 the policy is uniform whatever the tables hold
-        if self.cfg.epsilon < 1.0 and self._samples_since_refresh >= self.cfg.batch_size:
-            self._stale = True  # refreshed lazily from the updated tables
+        self._samples += len(episode)
         return episode

@@ -254,6 +254,7 @@ def test_rollout_columns_equal_the_reference_steps(game, seed, epsilon, max_step
             assert all(row is None or row is slots[s] for s, row in enumerate(before))
     # the policy's row slots persist across its rollouts: converted once for
     # each state drawn from, into that state's CDF rows
-    for slots, cum in zip(policy.row_cdf_lists, policy.row_cdfs):
+    for slots, p in zip(policy.row_cdf_lists, (policy.p1, policy.p2)):
+        cum = np.cumsum(p, axis=1)
         assert {s for s, row in enumerate(slots) if row is not None} == visited
         assert all(slots[s] == cum[s].tolist() for s in visited)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -92,8 +90,8 @@ def test_exploitability_is_scored_once_per_greedy_policy(monkeypatch, method):
     reused = run_experiment(cfg)
     reused_calls = len(scored)
     # a fresh greedy policy per row, so every row is scored afresh
-    monkeypatch.setattr(Learner, "greedy_policy", lambda self: exploration_policy(
-        self.qtable, replace(self.cfg, epsilon=0.0)))
+    monkeypatch.setattr(Learner, "greedy_policy",
+                        lambda self: exploration_policy(self.qtable, 0.0))
     scored.clear()
     fresh = run_experiment(cfg)
     assert len(scored) == len(fresh.rows)
@@ -228,6 +226,16 @@ def test_parse_config_collects_all_errors():
     assert "cannot parse 'soon'" in message
     assert "missing required key 'method'" in message
     assert "requires rps_n" in message
+
+
+def test_parse_config_reports_a_repeated_key_with_the_rest():
+    # a second value for a key is an error, not a silent override
+    with pytest.raises(ValueError) as err:
+        parse_config("env = rps\nrps_n = 3\nmethod = sacl\n\nrps_n = 4\nlr = soon\n"
+                     "method = self_play\n")
+    assert err.value.problems == ["line 5: key 'rps_n' repeats line 2",
+                                  "line 7: key 'method' repeats line 3",
+                                  "key 'lr': cannot parse 'soon' as float"]
 
 
 def test_parse_config_reports_range_errors_with_the_rest():

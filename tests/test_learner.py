@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,7 +67,7 @@ def test_visit_count_decay_averages_targets():
 
 def test_exploration_policy_uniform_when_epsilon_one():
     game = rps_game(2)
-    policy = exploration_policy(QTable.zeros(game), LearnerConfig(epsilon=1.0))
+    policy = exploration_policy(QTable.zeros(game), 1.0)
     np.testing.assert_allclose(policy.p1, 1.0 / 3.0)
     np.testing.assert_allclose(policy.p2, 1.0 / 3.0)
 
@@ -79,7 +77,7 @@ def test_exploration_policy_greedy_on_converged_rps1_is_uniform():
     oracle = solve_ne(game)
     q = QTable.zeros(game)
     q.q[:] = oracle.q_star
-    policy = exploration_policy(q, LearnerConfig(epsilon=0.0))
+    policy = exploration_policy(q, 0.0)
     np.testing.assert_allclose(policy.p1[0], np.ones(3) / 3, atol=1e-9)
     np.testing.assert_allclose(policy.p2[0], np.ones(3) / 3, atol=1e-9)
 
@@ -91,7 +89,7 @@ def test_exploration_policy_mixture_frequencies():
     # row 1 (paper) strictly dominates, so the maximin strategy is pure
     q.q[0, 0] = np.array([[2.0, 2.0, 2.0], [3.0, 3.0, 3.0], [2.0, 2.0, 2.0]])
     q.invalidate(0)
-    policy = exploration_policy(q, LearnerConfig(epsilon=0.5))
+    policy = exploration_policy(q, 0.5)
     expected = 0.5 * np.ones(3) / 3 + 0.5 * np.array([0.0, 1.0, 0.0])
     np.testing.assert_allclose(policy.p1[0], expected, atol=1e-12)
     rng = np.random.default_rng(2)
@@ -262,7 +260,7 @@ def test_stage_store_matches_dict_cache_reference(game, seed, batches, lr, decay
                 pairs = [(values_from_q(q), dict_cache_values_from_q(ref))]
             else:
                 eps = 0.0 if name == "greedy" else 0.3
-                pol = exploration_policy(q, replace(cfg, epsilon=eps))
+                pol = exploration_policy(q, eps)
                 pol_ref = dict_cache_exploration_policy(ref, eps)
                 pairs = [(pol.p1, pol_ref.p1), (pol.p2, pol_ref.p2)]
             for new, old in pairs:
@@ -292,12 +290,12 @@ def test_refresh_solves_only_rows_written_since_their_last_solve(monkeypatch):
     values_from_q(q)
     assert solved == [3, 3]  # every row starts unsolved; one stack per player
     values_from_q(q)
-    exploration_policy(q, LearnerConfig(epsilon=0.5))
+    exploration_policy(q, 0.5)
     q.stage_solution(1, 2)
     assert solved == [3, 3]
     win = episode_of([(2, 0, 2, 1.0, game.terminal_index)])
     minimax_q_update(q, win, LearnerConfig(lr=1.0, lr_decay=None), game.discount)
-    exploration_policy(q, LearnerConfig(epsilon=0.5))
+    exploration_policy(q, 0.5)
     values_from_q(q)
     assert solved == [3, 3, 1, 1]
 
@@ -313,9 +311,9 @@ def count_policy_builds(monkeypatch):
     builds = []
     original = learner_module.exploration_policy
 
-    def counting(q, cfg):
-        builds.append(cfg.epsilon)
-        return original(q, cfg)
+    def counting(q, epsilon):
+        builds.append(epsilon)
+        return original(q, epsilon)
 
     monkeypatch.setattr(learner_module, "exploration_policy", counting)
     return builds
@@ -344,7 +342,7 @@ def test_mixed_exploration_policy_rebuilt_after_a_write(monkeypatch):
         before = lr.qtable.q.copy()
         lr.run_episode(0, 10)
         writes += not np.array_equal(before, lr.qtable.q)
-        fresh = exploration_policy(lr.qtable, cfg)
+        fresh = exploration_policy(lr.qtable, cfg.epsilon)
         if not (np.array_equal(fresh.p1, policy.p1) and np.array_equal(fresh.p2, policy.p2)):
             break
         assert lr.policy() is policy
@@ -358,16 +356,10 @@ def test_mixed_exploration_policy_rebuilt_after_a_write(monkeypatch):
 
 
 class RebuildingLearner(Learner):
-    """The learner with every stale exploration policy rebuilt from scratch."""
+    """The learner with every mixture rebuilt from scratch, never looked up."""
 
-    def policy(self):
-        if self._stale:
-            self._stale = False
-            self._policy = None
-        if self._policy is None:
-            self._policy = learner_module.exploration_policy(self.qtable, self.cfg)
-            self._samples_since_refresh = 0
-        return self._policy
+    def _mixture(self, epsilon):
+        return learner_module.exploration_policy(self.qtable, epsilon)
 
 
 @pytest.mark.parametrize("game", ["grid", "cyclic2x3"])
@@ -420,7 +412,7 @@ def test_greedy_policy_is_reused_exactly_while_strategies_are_unchanged(game):
     for _ in range(300):
         lr.run_episode(sample_initial(game, lr.rng), 10)
         policy = lr.greedy_policy()
-        fresh = exploration_policy(lr.qtable, LearnerConfig(epsilon=0.0))
+        fresh = exploration_policy(lr.qtable, 0.0)
         assert policy.p1.tobytes() == fresh.p1.tobytes()
         assert policy.p2.tobytes() == fresh.p2.tobytes()
         unchanged = np.array_equal(fresh.p1, previous.p1) and np.array_equal(fresh.p2, previous.p2)
@@ -428,3 +420,32 @@ def test_greedy_policy_is_reused_exactly_while_strategies_are_unchanged(game):
         outcomes.add(unchanged)
         previous = policy
     assert outcomes == {True, False}  # both reuse and rebuild happened
+
+
+def test_greedy_exploration_policy_is_the_greedy_policy():
+    # at epsilon=0 exploring and scoring read one mixture cache: one object
+    game = REFERENCE_GAMES["cyclic2x3"]
+    lr = Learner(game, LearnerConfig(lr=0.5, lr_decay=None, epsilon=0.0), np.random.default_rng(4))
+    policies = set()
+    for _ in range(100):
+        assert lr.policy() is lr.greedy_policy()
+        policies.add(id(lr.policy()))
+        lr.run_episode(sample_initial(game, lr.rng), 10)
+    assert len(policies) > 1  # the tables moved the strategies
+
+
+def test_uniform_exploration_policy_solves_no_stage_game(monkeypatch):
+    solved = []
+    original = learner_module.solve_stack
+
+    def counting(stages):
+        solved.append(len(stages))
+        return original(stages)
+
+    monkeypatch.setattr(learner_module, "solve_stack", counting)
+    lr = Learner(rps_game(3), LearnerConfig(epsilon=1.0), np.random.default_rng(0))
+    policy = lr.policy()
+    np.testing.assert_array_equal(policy.p1, 1.0 / 3.0)
+    assert solved == []
+    lr.greedy_policy()
+    assert solved == [3, 3]

@@ -7,6 +7,12 @@ curriculum changes at least one digest. The configs follow
 ``perfbench/golden.py`` at a smaller scale: rps n=3 under all three methods
 (seeds 0-2, the ``fig2_run_config`` budgets) and the 3x3x4 grid under
 ``sacl`` with the ``full`` and ``td_error`` metrics (seed 0, budget 20k).
+Those all explore uniformly (epsilon=1), so the grid is also run with
+mixed and greedy policies, which the learner rebuilds as its tables move:
+``sacl``/``full`` at epsilon=0.5 with ``batch_size`` 3 (budget 12k) and
+``self_play`` at epsilon=0 (budget 4k). Greedy play from zero tables never
+captures, so the epsilon=0 CSV pins the sample counts that greedy episodes
+reach, not a learning curve.
 """
 
 import csv
@@ -20,6 +26,13 @@ from subgamelab import parse_config, run_experiment
 LEARNER = ["lr = 1.0", "lr_decay = none", "epsilon = 1.0", "p = 0.7", "capacity_k = 64"]
 RPS_BUDGETS = {"self_play": 5_000 + 300 * 3**3, "sacl": 3_000 + 2_000 * 3,
                "full_access_order": 2_000 + 500 * 3}
+MIXED = {
+    "grid3x3x4-sacl-full-eps0.5-batch3": [
+        "epsilon = 0.5", "batch_size = 3", "method = sacl", "variant = full",
+        "episodes_per_epoch = 8", "sample_budget = 12000", "eval_every = 1000"],
+    "grid3x3x4-self_play-eps0": [
+        "epsilon = 0.0", "method = self_play", "sample_budget = 4000", "eval_every = 500"],
+}
 
 
 def config(name: str) -> str:
@@ -30,11 +43,15 @@ def config(name: str) -> str:
             "episodes_per_epoch = 4", "seeds = 0, 1, 2",
             f"sample_budget = {RPS_BUDGETS[method]}", "eval_every = 50",
             "convergence_threshold = 0.01"])
+    grid = ["env = grid_pursuit", "grid_width = 3", "grid_height = 3", "grid_horizon = 4",
+            "seeds = 0", "convergence_threshold = 0.01"]
+    if name in MIXED:
+        learner = [line for line in LEARNER if not line.startswith("epsilon")]
+        return "\n".join(learner + grid + MIXED[name])
     variant = name.removeprefix("grid3x3x4-sacl-")
-    return "\n".join(LEARNER + [
-        "env = grid_pursuit", "grid_width = 3", "grid_height = 3", "grid_horizon = 4",
-        "method = sacl", f"variant = {variant}", "episodes_per_epoch = 8", "seeds = 0",
-        "sample_budget = 20000", "eval_every = 2000", "convergence_threshold = 0.01"])
+    return "\n".join(LEARNER + grid + [
+        "method = sacl", f"variant = {variant}", "episodes_per_epoch = 8",
+        "sample_budget = 20000", "eval_every = 2000"])
 
 
 def digest_without_wall_clock(text: str) -> str:
@@ -50,6 +67,9 @@ DIGESTS = {
     "rps3-full_access_order": "6a1808f3939dd6631e5fc03fc730e160ee8d945cb61240285c1c564952c353b2",
     "grid3x3x4-sacl-full": "550a76d46a44d1d475d01f893908b300e587fe96485b5e2406dc4a46ce3fed5b",
     "grid3x3x4-sacl-td_error": "e4e655d68d60bebcb5835f18007bc78fb0da51a35a4e94d5ec3aee8c18572c94",
+    "grid3x3x4-sacl-full-eps0.5-batch3":
+        "3bfe0f86eeab4e9046b21cda424e7db29c5d5d2ffa14d602319bb68d256f6016",
+    "grid3x3x4-self_play-eps0": "850a5c5c91de2bc2f58bfaaa1860fd608b03458e495235f812d1931e7ef81030",
 }
 
 
