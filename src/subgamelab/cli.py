@@ -83,9 +83,10 @@ def cmd_ne_solve(args) -> None:
 def _load_policy(path: str, game) -> Policy:
     """Read a JSON policy file: per player, state index -> probability row.
 
-    Each player needs one probability row (finite, non-negative, summing to
-    1) of its action count for every state; anything else is rejected with a
-    message naming the player and state.
+    Each player needs exactly one probability row (finite, non-negative,
+    summing to 1) of its action count for every state, where ``"1"`` and
+    ``"01"`` name the same state; anything else is rejected with a message
+    naming the player and state.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -100,6 +101,9 @@ def _load_policy(path: str, game) -> Policy:
             if not (state.isdecimal() and int(state) < s_count):
                 raise ValueError(f"{key} state {state!r} is not a state index "
                                  f"in 0..{s_count - 1}")
+            if not np.isnan(rows[int(state), 0]):
+                raise ValueError(f"{key} state {state!r} gives state {int(state)} "
+                                 f"a second row")
             row = np.asarray(probs, dtype=np.float64)
             if row.shape != (width,):
                 raise ValueError(f"{key} state {state}: row has shape {row.shape}, "

@@ -12,7 +12,7 @@ in feature space.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,38 +317,36 @@ def sample_subgame(table: SamplingTable | None, game: GameSpec, cfg: SamplerConf
 def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
                      game: GameSpec, metric_cfg: MetricConfig,
                      sampler_cfg: SamplerConfig, episodes_per_epoch: int,
-                     max_steps: int, evaluator=None):
+                     max_steps: int, evaluator=None,
+                     starts: Iterator[int] | None = None) -> None:
     """One curriculum epoch: checkpoint values, train, reweight the buffer.
 
-    Every learner runs ``episodes_per_epoch`` episodes whose start states come
-    from :func:`sample_subgame` (each learner consumes its own generator).
-    Afterwards the states acted on this epoch get fresh weights from the
-    current-vs-checkpoint ensemble and are merged into the buffer, which is
-    pruned back to capacity by FPS. Passing ``buf=None`` disables all buffer
-    work, which is exactly plain self-play.
+    Every learner in turn runs ``episodes_per_epoch`` episodes whose start
+    states come from :func:`sample_subgame` (each learner consumes its own
+    generator) or, when ``starts`` is given, from that iterator, which is
+    advanced once per episode, after the previous episode has trained, and
+    draws no uniform. Afterwards the states acted on this epoch get fresh
+    weights from the current-vs-checkpoint ensemble and are merged into the
+    buffer, which is pruned back to capacity by FPS. Passing ``buf=None``
+    disables all buffer work, which is exactly plain self-play.
 
-    ``evaluator``, when given, is called after every episode with the number
-    of new samples and may return record rows; the epoch stops early once
-    ``evaluator.should_stop`` turns true. Returns (learners, buf, rows).
+    ``evaluator``, when given, is told the sample count of every episode by
+    ``evaluator.after_episode``, which records its own rows and returns
+    whether the run should stop; the epoch then ends at once, its buffer
+    work still done. The learners and the buffer are updated in place;
+    nothing is returned.
     """
-    rows = []
     table = None
     if buf is not None:
         previous = np.stack([signed_values(lr.values()) for lr in learners])
         table = SamplingTable.of(buf)  # the buffer changes only at epoch end
     episodes = []
-    stop = False
-    for lr in learners:
-        for _ in range(episodes_per_epoch):
-            s0 = sample_subgame(table, game, sampler_cfg, lr.rng)
-            ep = lr.run_episode(s0, max_steps)
-            episodes.append(ep)
-            if evaluator is not None:
-                rows.extend(evaluator.after_episode(len(ep)))
-                if evaluator.should_stop:
-                    stop = True
-                    break
-        if stop:
+    for lr in [member for member in learners for _ in range(episodes_per_epoch)]:
+        s0 = (sample_subgame(table, game, sampler_cfg, lr.rng) if starts is None
+              else next(starts))
+        ep = lr.run_episode(s0, max_steps)
+        episodes.append(ep)
+        if evaluator is not None and evaluator.after_episode(len(ep)):
             break
     if buf is not None and episodes:
         visited: dict[int, tuple[float, int]] = {}  # state -> its latest (reward, next state)
@@ -366,4 +364,3 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
         buffer_insert(buf, zip(states, weights.tolist()), game)
         if len(buf) > buf.capacity:
             fps_prune(buf, buf.capacity)
-    return learners, buf, rows

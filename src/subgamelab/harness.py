@@ -1,12 +1,15 @@
 """Experiment orchestration: seeded runs, convergence curves, CSV emission.
 
-Three training methods share one evaluation pipeline:
+Three training methods share one training loop, ``curriculum_epoch``, and
+one evaluator; they differ only in where each episode starts:
 
-* ``self_play``      - every episode starts from the game's own distribution;
-* ``sacl``           - the weighted-buffer curriculum epoch loop;
-* ``full_access_order`` - episodes restart from each state in reverse index
-  order, advancing when that state's own Q-entries are learned, which
-  realizes the easiest-subgame-first schedule on the iterated game.
+* ``self_play``      - from the game's own initial distribution;
+* ``sacl``           - from the weighted buffer of visited states with
+  probability p, otherwise from the initial distribution;
+* ``full_access_order`` - a reverse curriculum with oracle access (Florensa
+  et al. 2017): from each state in reverse index order, advancing past a
+  state once its own Q-entries match the oracle's, which realizes the
+  easiest-subgame-first schedule on the iterated game.
 
 Records are reproducible byte for byte given the same config (wall-clock
 column aside).
@@ -26,7 +29,7 @@ from .curriculum import (MetricConfig, SamplerConfig, WeightedStateBuffer,
                          curriculum_epoch)
 from .envs import ENV_KEYS, ConfigError, RpsParams, build_env, env_params, make_rps
 from .evaluation import NESolution, exploitability, solve_ne
-from .game import GameSpec, rollout, uniform_policy
+from .game import rollout, uniform_policy
 from .learner import Learner, LearnerConfig, q_error
 
 METHODS = ("sacl", "self_play", "full_access_order")
@@ -95,6 +98,8 @@ class RunConfig:
             errors.append("episodes_per_epoch must be >= 1")
         if not self.seeds:
             errors.append("at least one seed is required")
+        elif min(self.seeds) < 0:
+            errors.append(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.sample_budget <= 0:
             errors.append("sample_budget must be positive")
         if self.eval_every <= 0:
@@ -106,16 +111,16 @@ class RunConfig:
 
 
 class _Evaluator:
-    """Fires q-error / exploitability rows on the eval_every sample grid."""
+    """Appends q-error / exploitability rows on the eval_every sample grid."""
 
-    def __init__(self, cfg: RunConfig, game: GameSpec, oracle: NESolution,
-                 learners: list[Learner], buf, seed: int):
+    def __init__(self, cfg: RunConfig, oracle: NESolution, learner: Learner,
+                 buf, seed: int, rows: list[RecordRow]):
         self.cfg = cfg
-        self.game = game
         self.oracle = oracle
-        self.learners = learners
+        self.learner = learner
         self.buf = buf
         self.seed = seed
+        self.rows = rows
         self.samples = 0
         self.next_mark = cfg.eval_every
         self.converged = False
@@ -129,83 +134,71 @@ class _Evaluator:
     def should_stop(self) -> bool:
         return self.converged or self.samples >= self.cfg.sample_budget
 
-    def _row(self) -> RecordRow:
-        lr = self.learners[0]
-        err = q_error(lr.qtable, self.oracle)
-        policy = lr.greedy_policy()
+    def _record(self) -> None:
+        err = q_error(self.learner.qtable, self.oracle)
+        policy = self.learner.greedy_policy()
         if policy is not self._scored:
             self._scored = policy
-            self._exploitability = exploitability(self.game, policy).total
-        expl = self._exploitability
+            self._exploitability = exploitability(self.learner.game, policy).total
         if err < self.cfg.convergence_threshold:
             self.converged = True
-        return RecordRow(self.seed, self.cfg.method, self.cfg.env, self.samples,
-                         err, expl, len(self.buf) if self.buf is not None else 0,
-                         time.perf_counter() - self.start)
+        self.rows.append(RecordRow(
+            self.seed, self.cfg.method, self.cfg.env, self.samples, err,
+            self._exploitability, len(self.buf) if self.buf is not None else 0,
+            time.perf_counter() - self.start))
 
-    def after_episode(self, n_samples: int) -> list[RecordRow]:
+    def after_episode(self, n_samples: int) -> bool:
+        """Count an episode's samples and record any row due; True once stopped."""
         self.samples += n_samples
-        rows = []
         if self.samples >= self.next_mark and not self.converged:
-            rows.append(self._row())
+            self._record()
             # rows carry true sample counts, so one crossing per episode
             step = self.cfg.eval_every
             self.next_mark = (self.samples // step + 1) * step
-        if self.converged or self.samples >= self.cfg.sample_budget:
-            if not rows or rows[-1].samples_consumed < self.samples:
-                rows.append(self._row())
-        return rows
+        elif self.should_stop:
+            self._record()  # the final row, unless this episode already wrote one
+        return self.should_stop
 
 
-def _episode_cap(game: GameSpec) -> int:
-    return game.horizon if game.horizon is not None else max(1000, 10 * game.state_count)
+def _reverse_starts(learner: Learner, oracle: NESolution, threshold: float) -> Iterator[int]:
+    """Start states from the top index down, oracle-checked after each episode.
 
-
-def _local_q_error(learner: Learner, oracle: NESolution, state: int) -> float:
-    return float(np.abs(learner.qtable.q[:, state] - oracle.q_star[:, state]).max())
-
-
-def _run_single(cfg: RunConfig, game: GameSpec, oracle: NESolution,
-                seed: int) -> Iterator[RecordRow]:
-    n_learners = cfg.metric.ensemble_size if cfg.method == "sacl" else 1
-    learners = [Learner(game, cfg.learner, np.random.default_rng([seed, m]))
-                for m in range(n_learners)]
-    buf = WeightedStateBuffer(cfg.capacity_k) if cfg.method == "sacl" else None
-    ev = _Evaluator(cfg, game, oracle, learners, buf, seed)
-    cap = _episode_cap(game)
-
-    if cfg.method == "full_access_order":
-        order = list(range(game.state_count - 1, -1, -1))
-        pos = 0
-        lr = learners[0]
-        while not ev.should_stop:
-            s0 = order[min(pos, len(order) - 1)]
-            ep = lr.run_episode(s0, cap)
-            rows = ev.after_episode(len(ep))
-            while (pos < len(order)
-                   and _local_q_error(lr, oracle, order[pos]) < cfg.convergence_threshold):
-                pos += 1
-            yield from rows
-        return
-
-    while not ev.should_stop:
-        # without a buffer (self_play) every start comes from the game's own distribution
-        _, buf, rows = curriculum_epoch(learners, buf, game, cfg.metric, cfg.sampler,
-                                        cfg.episodes_per_epoch, cap, evaluator=ev)
-        yield from rows
+    Yields the current state, then, once that episode has trained, moves past
+    every state whose Q entries of both players lie within ``threshold`` of
+    the oracle's; once every state is learned it yields state 0.
+    """
+    state = learner.game.state_count - 1
+    while True:
+        yield max(state, 0)
+        while state >= 0 and np.abs(learner.qtable.q[:, state]
+                                    - oracle.q_star[:, state]).max() < threshold:
+            state -= 1
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentRecord:
     """Run every seed of the configured experiment and collect record rows.
 
-    Each seed stops at its sample budget or as soon as the sup-norm Q error
-    against the exact oracle drops below the convergence threshold.
+    Each seed trains through :func:`curriculum_epoch` until its sample budget
+    is spent or the sup-norm Q error against the exact oracle drops below
+    the convergence threshold. The methods differ only in where episodes
+    start: ``sacl`` from its weighted buffer, ``self_play`` from the game's
+    own distribution, ``full_access_order`` from :func:`_reverse_starts`.
     """
     game = build_env(cfg.env, cfg.env_params)
     oracle = solve_ne(game)
+    cap = game.horizon if game.horizon is not None else max(1000, 10 * game.state_count)
+    n_learners = cfg.metric.ensemble_size if cfg.method == "sacl" else 1
     record = ExperimentRecord()
     for seed in cfg.seeds:
-        record.rows.extend(_run_single(cfg, game, oracle, seed))
+        learners = [Learner(game, cfg.learner, np.random.default_rng([seed, m]))
+                    for m in range(n_learners)]
+        buf = WeightedStateBuffer(cfg.capacity_k) if cfg.method == "sacl" else None
+        starts = (_reverse_starts(learners[0], oracle, cfg.convergence_threshold)
+                  if cfg.method == "full_access_order" else None)
+        ev = _Evaluator(cfg, oracle, learners[0], buf, seed, record.rows)
+        while not ev.should_stop:
+            curriculum_epoch(learners, buf, game, cfg.metric, cfg.sampler,
+                             cfg.episodes_per_epoch, cap, evaluator=ev, starts=starts)
     return record
 
 

@@ -70,8 +70,10 @@ UNIFORM = [1.0 / 3.0] * 3
     ({"0": UNIFORM, "1": [float("inf"), 0.0, 0.0]}, "player1 state 1: row has a NaN or infinite"),
     ({"0": UNIFORM, "1": [0.5, 0.5, 0.5]}, "player1 state 1: row sums to 1.5, not 1"),
     ({"0": [1.5, -0.5, 0.0], "1": UNIFORM}, "player1 state 0: row has a negative entry"),
+    ({"0": UNIFORM, "1": UNIFORM, "01": [1.0, 0.0, 0.0]},
+     "player1 state '01' gives state 1 a second row"),
 ], ids=["missing", "out_of_range", "negative", "non_integer", "wrong_length", "nan", "inf",
-        "sum_not_one", "negative_entry"])
+        "sum_not_one", "negative_entry", "repeated_state"])
 def test_exploitability_rejects_bad_policy_file(tmp_path, capsys, player1, message):
     policy = {"player1": player1, "player2": {"0": UNIFORM, "1": UNIFORM}}
     path = tmp_path / "policy.json"

@@ -239,7 +239,8 @@ def test_parse_config_reports_a_repeated_key_with_the_rest():
 
 
 def test_parse_config_reports_range_errors_with_the_rest():
-    # each part's own range check joins the parse errors: one report, all four
+    # each part's own range check joins the parse errors: one report, all five
+    # (a negative seed is caught here, not by numpy once an oracle is solved)
     with pytest.raises(ValueError) as err:
         parse_config("""
         env = rps
@@ -249,11 +250,12 @@ def test_parse_config_reports_range_errors_with_the_rest():
         alpha_bias = -1
         p = 3
         capacity_k = 0
+        seeds = -1, 2
         """)
     problems = str(err.value).splitlines()[1:]
-    assert len(problems) == 4
+    assert len(problems) == 5
     for fragment in ("lr_decay must be", "alpha_bias must be", "p must lie",
-                     "capacity_k must be"):
+                     "capacity_k must be", "seeds must be non-negative, got -1"):
         assert sum(fragment in line for line in problems) == 1
 
 

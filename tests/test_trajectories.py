@@ -12,7 +12,13 @@ mixed and greedy policies, which the learner rebuilds as its tables move:
 ``sacl``/``full`` at epsilon=0.5 with ``batch_size`` 3 (budget 12k) and
 ``self_play`` at epsilon=0 (budget 4k). Greedy play from zero tables never
 captures, so the epsilon=0 CSV pins the sample counts that greedy episodes
-reach, not a learning curve.
+reach, not a learning curve. The 3x3x4 grid also runs under
+``full_access_order`` (budget 20k): once with the default capture reward
+(eval every 2000), and once with ``capture_reward = 0`` and eval every
+sample. There every state counts as learned before the first episode, so
+the run stops after one episode, and its one row pins that this episode
+still starts at the top index, the last timestep: one sample, not the
+several an episode from state 0 takes.
 """
 
 import csv
@@ -33,6 +39,10 @@ MIXED = {
     "grid3x3x4-self_play-eps0": [
         "epsilon = 0.0", "method = self_play", "sample_budget = 4000", "eval_every = 500"],
 }
+FULL_ACCESS = {
+    "grid3x3x4-full_access_order": ["eval_every = 2000"],
+    "grid3x3x4-full_access_order-capture0": ["capture_reward = 0", "eval_every = 1"],
+}
 
 
 def config(name: str) -> str:
@@ -48,6 +58,9 @@ def config(name: str) -> str:
     if name in MIXED:
         learner = [line for line in LEARNER if not line.startswith("epsilon")]
         return "\n".join(learner + grid + MIXED[name])
+    if name in FULL_ACCESS:
+        return "\n".join(LEARNER + grid + FULL_ACCESS[name] + [
+            "method = full_access_order", "sample_budget = 20000"])
     variant = name.removeprefix("grid3x3x4-sacl-")
     return "\n".join(LEARNER + grid + [
         "method = sacl", f"variant = {variant}", "episodes_per_epoch = 8",
@@ -70,6 +83,10 @@ DIGESTS = {
     "grid3x3x4-sacl-full-eps0.5-batch3":
         "3bfe0f86eeab4e9046b21cda424e7db29c5d5d2ffa14d602319bb68d256f6016",
     "grid3x3x4-self_play-eps0": "850a5c5c91de2bc2f58bfaaa1860fd608b03458e495235f812d1931e7ef81030",
+    "grid3x3x4-full_access_order":
+        "2ed30b524ce0231f721ce92bafffdc0fba71bd8f0b465a8ef3c4535d6adc110f",
+    "grid3x3x4-full_access_order-capture0":
+        "6461b05de695572ae022d8c309c9b5f4d240eeaf9391c28e9faaec9c49a87e8a",
 }
 
 
