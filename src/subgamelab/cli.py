@@ -80,24 +80,31 @@ def cmd_ne_solve(args) -> None:
     }))
 
 
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs in file order, repeated keys kept."""
+
+
 def _load_policy(path: str, game) -> Policy:
     """Read a JSON policy file: per player, state index -> probability row.
 
     Each player needs exactly one probability row (finite, non-negative,
     summing to 1) of its action count for every state, where ``"1"`` and
-    ``"01"`` name the same state; anything else is rejected with a message
-    naming the player and state.
+    ``"01"`` name the same state and a key given twice is a second row;
+    anything else is rejected with a message naming the player and state.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_Pairs)
     a1, a2 = game.action_counts
     s_count = game.state_count
 
     def table(key: str, width: int) -> np.ndarray:
-        if not isinstance(data, dict) or not isinstance(data.get(key), dict):
+        found = [value for name, value in data if name == key] if isinstance(data, _Pairs) else []
+        if len(found) > 1:
+            raise ValueError(f"policy file gives {key} {len(found)} times")
+        if not found or not isinstance(found[0], _Pairs):
             raise ValueError(f"policy file needs a {key} object of state -> row")
         rows = np.full((s_count, width), np.nan)  # NaN until a (finite) row is given
-        for state, probs in data[key].items():
+        for state, probs in found[0]:
             if not (state.isdecimal() and int(state) < s_count):
                 raise ValueError(f"{key} state {state!r} is not a state index "
                                  f"in 0..{s_count - 1}")

@@ -100,6 +100,9 @@ class RunConfig:
             errors.append("at least one seed is required")
         elif min(self.seeds) < 0:
             errors.append(f"seeds must be non-negative, got {min(self.seeds)}")
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
+            errors.append(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
         if self.sample_budget <= 0:
             errors.append("sample_budget must be positive")
         if self.eval_every <= 0:

@@ -15,7 +15,10 @@ the reference for the scalar ``rollout``, and ``merge_buffer_insert`` is
 the buffer insert that always merges, the reference for its member-only
 fast path, and ``loop_grid_pursuit`` is the grid-pursuit builder as one
 Python loop per (state, action pair), the reference for the array-built
-``make_grid_pursuit``. ``dense_game`` builds small
+``make_grid_pursuit``, and ``hoffman_karp_strategy_iteration`` is the
+cyclic equilibrium solver as pure Hoffman-Karp strategy iteration (no
+Newton steps), the reference for the safeguarded Newton iteration of
+``solve_ne``. ``dense_game`` builds small
 hand-written games from a dense transition tensor, ``stopping_game`` turns
 a game into one that ends under every pair of policies at discount 1; ``episode_of`` and
 ``steps_of`` convert between an ``Episode`` and its per-step tuples.
@@ -28,6 +31,8 @@ import numpy as np
 from subgamelab import (Episode, GameSpec, GridPursuitParams, Policy, WeightedStateBuffer,
                         solve)
 from subgamelab.envs import MOVES
+from subgamelab.evaluation import (_MAX_STEPS, _STOP, _maximin, _policy_iteration, _stages,
+                                   solve_stack)
 
 
 def support_enumeration_value(payoff, tol=1e-9):
@@ -439,3 +444,33 @@ def loop_grid_pursuit(params: GridPursuitParams) -> GameSpec:
     rho[:per_step] = 1.0 / per_step
     return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=hor)
 
+
+
+def hoffman_karp_strategy_iteration(game: GameSpec):
+    """Hoffman-Karp strategy iteration for the equilibrium of a cyclic game.
+
+    Each step takes the maximizer's stage maximin strategies at the current
+    values (one ``solve_stack`` call) and sets the values to the minimizer's
+    exact best reply to them (policy iteration, warm-started from the last
+    step's reply). It stops when no value moves by more than ``_STOP`` times
+    the payoff scale, or after ``_MAX_STEPS`` steps; one more backup at the
+    final values gives the stages, both strategies and the residual.
+    Returns (v, stages, strategies, residual).
+    """
+    reward = game.reward1
+    horizon = 1.0 if game.discount == 1.0 else 1.0 / (1.0 - game.discount)
+    stop = _STOP * float(np.abs(reward).max()) * horizon
+    every = slice(None)
+    v_ext = np.zeros(game.state_count + 1)
+    v = v_ext[:-1]
+    actions = None
+    for _ in range(_MAX_STEPS):
+        _, p, _ = solve_stack(_stages(game, reward, v_ext, every))
+        reply, _, actions = _policy_iteration(game, -reward, p, 1, actions)
+        change = float(np.abs(reply + v).max())
+        v[:] = -reply
+        if change <= stop:
+            break
+    stages = _stages(game, reward, v_ext, every)
+    values, strategies = _maximin(stages, every)
+    return v, stages, strategies, float(np.abs(values - v).max())

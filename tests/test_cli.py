@@ -84,6 +84,22 @@ def test_exploitability_rejects_bad_policy_file(tmp_path, capsys, player1, messa
     assert re.search(message, err)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"player1": {"0": %s, "0": [0, 1, 0]}, "player2": {"0": %s}}',
+     "player1 state '0' gives state 0 a second row"),
+    ('{"player1": {"0": %s}, "player2": {"0": %s}, "player2": {"0": [0, 1, 0]}}',
+     "policy file gives player2 2 times"),
+], ids=["state", "player"])
+def test_exploitability_rejects_a_repeated_json_key(tmp_path, capsys, text, message):
+    # json keeps only the last of two equal keys; the policy reader sees both
+    path = tmp_path / "policy.json"
+    path.write_text(text % (UNIFORM, UNIFORM))
+    err = cli_error(capsys, "exploitability", "--env", "rps", "--n", "1",
+                    "--policy", str(path))
+    assert err.startswith("subgamelab exploitability: error: ")
+    assert message in err
+
+
 def test_coverage_subcommand(capsys):
     out = json.loads(run_cli(capsys, "coverage", "--n", "2", "--seeds", "50"))
     assert out["mean_samples"] == pytest.approx(3.0, abs=1.0)

@@ -11,9 +11,9 @@ from subgamelab import (GameSpec, GridPursuitParams, Policy, RpsParams,
                         matchup_value, oracle_weight, solve_ne, uniform_policy)
 from subgamelab import evaluation as evaluation_module
 
-from oracles import (dense_game, dense_matchup_values, per_state_value_iteration,
-                     random_acyclic_game, random_game, shapley_backup, stopping_game,
-                     tree_maximin_values)
+from oracles import (dense_game, dense_matchup_values, hoffman_karp_strategy_iteration,
+                     per_state_value_iteration, random_acyclic_game, random_game,
+                     shapley_backup, stopping_game, tree_maximin_values)
 
 ROCK_ONLY = np.array([[1.0, 0.0, 0.0]])
 
@@ -88,7 +88,7 @@ def test_solve_ne_flags_a_spent_step_bound(monkeypatch):
     rng = np.random.default_rng(37)
     game = random_game(rng, states=5, gamma=0.99)
     ne = solve_ne(game)
-    assert len(calls) == 3 + 1  # one stage solve per step, one for the final backup
+    assert len(calls) <= 2 * 3 + 1  # at most two stage solves per step, one first backup
     assert not ne.converged(1e-12)
     assert ne.residual == shapley_gap(game, ne)
 
@@ -340,6 +340,75 @@ def test_solve_ne_residual_is_honest_at_extreme_scales(scale):
     ne = solve_ne(game)
     assert np.isfinite(ne.v_star).all()
     assert ne.residual == shapley_gap(game, ne)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(2, 8), a1=st.integers(1, 3),
+       a2=st.integers(1, 3), gamma=st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+def test_strategy_iteration_matches_pure_hoffman_karp(seed, states, a1, a2, gamma):
+    # the Newton steps change the path, not the equilibrium; gamma 1 stands
+    # for a stopping game, which ends under every pair of policies
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, states=states, a1=a1, a2=a2, gamma=min(gamma, 0.9), branching=2)
+    if gamma == 1.0:
+        game = stopping_game(game, 0.2)
+    assume(game.levels is None)
+    ne = solve_ne(game)
+    v, _, _, _ = hoffman_karp_strategy_iteration(game)
+    assert np.abs(ne.v_star[0] - v).max() <= 1e-10 * value_scale(game)
+    assert ne.residual == shapley_gap(game, ne)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_strategy_iteration_lp_budget(monkeypatch, scale):
+    # 16 cyclic games on which pure Hoffman-Karp makes 537 stage solves at
+    # scale 1 and 535 at 1e8; the Newton steps must keep to a third of that
+    calls = []
+    original = evaluation_module.solve_stack
+
+    def counting(stages):
+        calls.append(len(stages))
+        return original(stages)
+
+    monkeypatch.setattr(evaluation_module, "solve_stack", counting)
+    for seed in range(4):
+        for gamma in (0.7, 0.9, 0.99, 0.999):
+            game = random_game(np.random.default_rng(seed), states=8, a1=3, a2=3, gamma=gamma)
+            assert game.levels is None
+            game = dataclasses.replace(game, reward1=scale * game.reward1)
+            ne = solve_ne(game)
+            assert ne.residual <= 1e-12 * value_scale(game)
+    assert len(calls) <= 537 // 3
+
+
+def test_newton_pair_that_never_ends_falls_back_to_hoffman_karp(monkeypatch):
+    # at discount 1 the stage strategies at some values form a pair under
+    # which a state never ends; the Newton step cannot be evaluated there,
+    # and the Hoffman-Karp step stands in for it
+    transition = np.array([[[[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
+                            [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]]],
+                           [[[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+                            [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]]])
+    reward = np.array([[[1.0, 0.0], [-1.0, 0.0]], [[2.0, -1.0], [1.0, 1.0]]])
+    game = dense_game(transition, reward, 1.0, np.array([0.5, 0.5]))
+    refused = []
+    original = evaluation_module._evaluate
+
+    def evaluate(*args):
+        try:
+            return original(*args)
+        except ValueError:
+            refused.append(args)
+            raise
+
+    monkeypatch.setattr(evaluation_module, "_evaluate", evaluate)
+    ne = solve_ne(game)
+    assert refused
+    v, _, _, _ = hoffman_karp_strategy_iteration(game)
+    np.testing.assert_allclose(ne.v_star[0], v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ne.v_star[0], [0.0, 2.0], rtol=0, atol=1e-12)
+    assert ne.residual == shapley_gap(game, ne)
+    assert ne.residual <= 1e-12 * value_scale(game)
 
 
 def test_undiscounted_chain_that_never_ends_fails_loudly():

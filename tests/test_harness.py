@@ -238,6 +238,14 @@ def test_parse_config_reports_a_repeated_key_with_the_rest():
                                   "key 'lr': cannot parse 'soon' as float"]
 
 
+def test_parse_config_reports_a_repeated_seed_with_the_rest():
+    # training a seed twice would write two identical runs that read as one
+    with pytest.raises(ValueError) as err:
+        parse_config("env = rps\nrps_n = 2\nmethod = sacl\nseeds = 0, 3, 0, 1, 3\nlr = soon\n")
+    assert err.value.problems == ["key 'lr': cannot parse 'soon' as float",
+                                  "seeds must be distinct; repeated: 0, 3"]
+
+
 def test_parse_config_reports_range_errors_with_the_rest():
     # each part's own range check joins the parse errors: one report, all five
     # (a negative seed is caught here, not by numpy once an oracle is solved)
