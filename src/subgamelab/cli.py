@@ -87,8 +87,8 @@ class _Pairs(list):
 def _load_policy(path: str, game) -> Policy:
     """Read a JSON policy file: per player, state index -> probability row.
 
-    Each player needs exactly one probability row (finite, non-negative,
-    summing to 1) of its action count for every state, where ``"1"`` and
+    Each player needs exactly one probability row (a JSON array of finite,
+    non-negative numbers summing to 1) of its action count for every state, where ``"1"`` and
     ``"01"`` name the same state and a key given twice is a second row;
     anything else is rejected with a message naming the player and state.
     """
@@ -111,6 +111,12 @@ def _load_policy(path: str, game) -> Policy:
             if not np.isnan(rows[int(state), 0]):
                 raise ValueError(f"{key} state {state!r} gives state {int(state)} "
                                  f"a second row")
+            if type(probs) is not list:
+                raise ValueError(f"{key} state {state}: row is not a JSON array")
+            for entry in probs:  # a JSON true would otherwise count as 1.0
+                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                    raise ValueError(f"{key} state {state}: row entry {entry!r} "
+                                     f"is not a number")
             row = np.asarray(probs, dtype=np.float64)
             if row.shape != (width,):
                 raise ValueError(f"{key} state {state}: row has shape {row.shape}, "

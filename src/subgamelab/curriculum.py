@@ -155,29 +155,27 @@ def _check_weights(weights: np.ndarray) -> None:
 
 @dataclass
 class WeightedStateBuffer:
-    """Capacity-bounded particle set of (state, feature vector, weight).
+    """Capacity-bounded particle set of (state, weight).
 
-    Members are kept as arrays in ascending state order: unique ``states``,
-    their ``features`` rows and their ``weights``. Re-inserting a state
-    overwrites its weight with the newer value. Insertion never prunes;
-    callers prune when the size exceeds the capacity.
+    Members are kept as arrays in ascending state order: unique ``states``
+    and their ``weights``; a member's feature vector is the game's row
+    ``game.features[state]``. Re-inserting a state overwrites its weight
+    with the newer value. Insertion never prunes; callers prune when the
+    size exceeds the capacity.
     """
 
     capacity: int
     states: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    features: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.states = np.asarray(self.states, dtype=np.int64)
-        self.features = np.asarray(self.features, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         n = self.states.size
-        if (self.states.shape != (n,) or self.weights.shape != (n,)
-                or self.features.ndim != 2 or self.features.shape[0] != n):
-            raise ValueError("buffer needs states (n,), features (n, d) and weights (n,)")
+        if self.states.shape != (n,) or self.weights.shape != (n,):
+            raise ValueError("buffer needs states (n,) and weights (n,)")
         if np.any(np.diff(self.states) <= 0):
             raise ValueError("buffer states must be strictly increasing")
         _check_weights(self.weights)
@@ -185,14 +183,9 @@ class WeightedStateBuffer:
     def __len__(self) -> int:
         return self.states.size
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """States, features, weights in ascending state order (not copies)."""
-        return self.states, self.features, self.weights
-
-    def _take(self, rows: np.ndarray) -> None:
-        self.states = self.states[rows]
-        self.features = self.features[rows]
-        self.weights = self.weights[rows]
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """States and weights in ascending state order (not copies)."""
+        return self.states, self.weights
 
 
 def buffer_insert(buf: WeightedStateBuffer, states: Iterable[tuple[int, float]],
@@ -220,10 +213,8 @@ def buffer_insert(buf: WeightedStateBuffer, states: Iterable[tuple[int, float]],
         return buf
     merged = np.concatenate([buf.states[old], new_states])
     order = np.argsort(merged, kind="stable")
-    old_features = buf.features[old] if len(buf) else np.empty((0, game.feature_dim))
     buf.states = merged[order]
     buf.weights = np.concatenate([buf.weights[old], new_weights])[order]
-    buf.features = np.concatenate([old_features, game.features[new_states]])[order]
     return buf
 
 
@@ -249,24 +240,23 @@ def _pairwise_distances(feats: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def fps_prune(buf: WeightedStateBuffer, k: int) -> WeightedStateBuffer:
+def fps_prune(buf: WeightedStateBuffer, k: int, game: GameSpec) -> WeightedStateBuffer:
     """Keep k entries by greedy farthest point sampling; identity if small.
 
+    Distances are Euclidean on the members' rows of ``game.features``.
     Seeded at the maximum-weight entry (ties break to the lowest state
-    index), then repeatedly adds the entry with the largest Euclidean
-    distance to the selected set (Gonzalez 1985), ties again to the lowest
-    index. Deterministic on identical inputs; kept entries retain their
-    weights. The members' pairwise distances are computed once, which takes
-    memory quadratic in the buffer size.
+    index), then repeatedly adds the entry with the largest distance to the
+    selected set (Gonzalez 1985), ties again to the lowest index.
+    Deterministic on identical inputs; kept entries retain their weights.
+    The members' pairwise distances are computed once, which takes memory
+    quadratic in the buffer size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(buf) <= k:
         return buf
-    _, feats, weights = buf.arrays()
-    if feats.min() < 0.0 or feats.max() > 1.0:
-        raise ValueError("buffer features must be normalized to [0, 1]")
-    pairwise = _pairwise_distances(feats)
+    states, weights = buf.arrays()
+    pairwise = _pairwise_distances(game.features[states])
     selected = [int(weights.argmax())]
     dist = pairwise[selected[0]].copy()
     for _ in range(k - 1):
@@ -274,7 +264,8 @@ def fps_prune(buf: WeightedStateBuffer, k: int) -> WeightedStateBuffer:
         selected.append(nxt)
         np.minimum(dist, pairwise[nxt], out=dist)
     # a member picked twice (all remaining distances zero) is kept once
-    buf._take(sorted(set(selected)))
+    rows = sorted(set(selected))
+    buf.states, buf.weights = states[rows], weights[rows]
     return buf
 
 
@@ -292,7 +283,7 @@ class SamplingTable:
 
     @classmethod
     def of(cls, buf: WeightedStateBuffer) -> "SamplingTable":
-        states, _, weights = buf.arrays()
+        states, weights = buf.arrays()
         total = weights.sum()
         if states.size == 0 or not total > 0.0:
             return cls(states, [])
@@ -363,4 +354,4 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
                                   discount=game.discount)
         buffer_insert(buf, zip(states, weights.tolist()), game)
         if len(buf) > buf.capacity:
-            fps_prune(buf, buf.capacity)
+            fps_prune(buf, buf.capacity, game)

@@ -83,7 +83,7 @@ def make_rps(params: RpsParams) -> GameSpec:
     rho = np.zeros(n)
     rho[0] = 1.0
     features = (np.arange(n, dtype=np.float64) / max(n - 1, 1)).reshape(-1, 1)
-    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=n)
+    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def make_grid_pursuit(params: GridPursuitParams) -> GameSpec:
     rho[:per_step] = 1.0 / per_step
     return GameSpec(next_states.reshape(s_count, 5, 5, 1), np.ones((s_count, 5, 5, 1)),
                     reward1.reshape(s_count, 5, 5), 1.0, rho,
-                    features.reshape(s_count, 5), horizon=hor)
+                    features.reshape(s_count, 5))
 
 
 # flat config key -> parameter field, per environment

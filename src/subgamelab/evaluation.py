@@ -284,8 +284,6 @@ class ExploitabilityReport:
     br_value_1: float
     br_value_2: float
     total: float
-    br_policy_1: np.ndarray
-    br_policy_2: np.ndarray
 
 
 def exploitability(game: GameSpec, joint: Policy) -> ExploitabilityReport:
@@ -294,9 +292,9 @@ def exploitability(game: GameSpec, joint: Policy) -> ExploitabilityReport:
     Zero exactly at a Nash equilibrium and non-negative otherwise; the
     initial-state expectation is computed exactly, not sampled.
     """
-    br1, value1 = best_response(game, joint.p2, player=0)
-    br2, value2 = best_response(game, joint.p1, player=1)
-    return ExploitabilityReport(value1, value2, value1 + value2, br1, br2)
+    _, value1 = best_response(game, joint.p2, player=0)
+    _, value2 = best_response(game, joint.p1, player=1)
+    return ExploitabilityReport(value1, value2, value1 + value2)
 
 
 def oracle_weight(state: int, member_values: np.ndarray, oracle: NESolution) -> float:

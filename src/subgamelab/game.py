@@ -68,7 +68,6 @@ class GameSpec:
     discount: float
     initial_dist: np.ndarray  # (S,) float64
     features: np.ndarray  # (S, d) float64 in [0, 1]
-    horizon: int | None = None
 
     def __post_init__(self):
         ns = np.ascontiguousarray(self.next_states, dtype=np.int64)
@@ -89,13 +88,16 @@ class GameSpec:
             raise ValueError("need at least one state and one action per player")
         if ns.min() < 0 or ns.max() > s_count:
             raise ValueError("next-state indices must lie in [0, state_count]")
+        # every range check below is a comparison, which NaN passes
+        for name, arr in (("next_probs", npr), ("reward1", r1),
+                          ("initial_dist", rho), ("features", feats)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a NaN or infinite entry")
         if npr.min() < -_PROB_TOL:
             raise ValueError("transition probabilities must be non-negative")
         row_sums = npr.sum(axis=3)
         if np.abs(row_sums - 1.0).max() > _PROB_TOL:
             raise ValueError("every transition row must sum to 1")
-        if not np.isfinite(r1).all():
-            raise ValueError("rewards must be finite")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must lie in (0, 1]")
         if rho.shape != (s_count,) or rho.min() < -_PROB_TOL:
@@ -106,8 +108,6 @@ class GameSpec:
             raise ValueError("features must have shape (S, d)")
         if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
             raise ValueError("features must be pre-scaled to [0, 1] per dimension")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
         for arr in (ns, npr, r1, rho, feats):
             arr.setflags(write=False)
 
@@ -122,10 +122,6 @@ class GameSpec:
     @property
     def terminal_index(self) -> int:
         return self.state_count
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
 
     @cached_property
     def levels(self) -> list[slice] | None:
@@ -171,7 +167,10 @@ class Policy:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be a (S, A) matrix")
-            if arr.min() < 0.0:
+            low = arr.min()
+            if low != low:  # NaN passes every comparison below
+                raise ValueError(f"{name} has a NaN entry")
+            if low < 0.0:
                 raise ValueError(f"{name} has negative probabilities")
             if np.abs(arr.sum(axis=1) - 1.0).max() > _PROB_TOL:
                 raise ValueError(f"every {name} row must sum to 1")

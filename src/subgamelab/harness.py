@@ -189,7 +189,8 @@ def run_experiment(cfg: RunConfig) -> ExperimentRecord:
     """
     game = build_env(cfg.env, cfg.env_params)
     oracle = solve_ne(game)
-    cap = game.horizon if game.horizon is not None else max(1000, 10 * game.state_count)
+    # an acyclic game ends within state_count steps, so the cap binds only on a cyclic one
+    cap = max(1000, 10 * game.state_count)
     n_learners = cfg.metric.ensemble_size if cfg.method == "sacl" else 1
     record = ExperimentRecord()
     for seed in cfg.seeds:

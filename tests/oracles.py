@@ -102,8 +102,7 @@ def tree_maximin_values(game: GameSpec) -> np.ndarray:
     return v_ext[:s_count]
 
 
-def dense_game(transition, reward1, discount, initial_dist, features=None,
-               horizon=None) -> GameSpec:
+def dense_game(transition, reward1, discount, initial_dist, features=None) -> GameSpec:
     """A game from a dense (S, A1, A2, S+1) transition tensor.
 
     Column S is the terminal outcome; the padded support width is the largest
@@ -122,7 +121,7 @@ def dense_game(transition, reward1, discount, initial_dist, features=None,
         npr[index][: idx.size] = transition[index][idx]
     if features is None:
         features = (np.arange(s_count, dtype=np.float64) / max(s_count - 1, 1)).reshape(-1, 1)
-    return GameSpec(ns, npr, reward1, discount, initial_dist, features, horizon)
+    return GameSpec(ns, npr, reward1, discount, initial_dist, features)
 
 
 def random_game(rng, states=4, a1=2, a2=3, gamma=0.9, branching=2) -> GameSpec:
@@ -371,7 +370,7 @@ def reference_rollout(game: GameSpec, policy: Policy, s0: int, rng,
     return traj
 
 
-def merge_buffer_insert(buf: WeightedStateBuffer, states, game: GameSpec) -> WeightedStateBuffer:
+def merge_buffer_insert(buf: WeightedStateBuffer, states) -> WeightedStateBuffer:
     """``buffer_insert`` without its member-only fast path: every batch merged."""
     newest = {int(s): float(w) for s, w in states}
     if not newest:
@@ -382,11 +381,28 @@ def merge_buffer_insert(buf: WeightedStateBuffer, states, game: GameSpec) -> Wei
     old = new_states[pos] != buf.states
     merged = np.concatenate([buf.states[old], new_states])
     order = np.argsort(merged, kind="stable")
-    old_features = buf.features[old] if len(buf) else np.empty((0, game.feature_dim))
     buf.states = merged[order]
     buf.weights = np.concatenate([buf.weights[old], new_weights])[order]
-    buf.features = np.concatenate([old_features, game.features[new_states]])[order]
     return buf
+
+
+def feature_game(points, states=None) -> GameSpec:
+    """A game whose state ``states[i]`` has the feature row ``points[i]``.
+
+    ``states`` defaults to 0..n-1 and the state count is one past the
+    largest; every other state's features are zero. Each state has one
+    action per player and ends the game, so only the features matter: FPS
+    tests place their points here.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    states = np.arange(len(points)) if states is None else np.asarray(states)
+    s_count = int(states.max()) + 1
+    features = np.zeros((s_count, points.shape[1]))
+    features[states] = points
+    rho = np.zeros(s_count)
+    rho[0] = 1.0
+    return GameSpec(np.full((s_count, 1, 1, 1), s_count), np.ones((s_count, 1, 1, 1)),
+                    np.zeros((s_count, 1, 1)), 1.0, rho, features)
 
 
 def loop_grid_pursuit(params: GridPursuitParams) -> GameSpec:
@@ -442,7 +458,7 @@ def loop_grid_pursuit(params: GridPursuitParams) -> GameSpec:
                         next_states[s, a1, a2, 0] = (t + 1) * per_step + pair_index[(p_new, e_new)]
     rho = np.zeros(s_count)
     rho[:per_step] = 1.0 / per_step
-    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features, horizon=hor)
+    return GameSpec(next_states, next_probs, reward1, 1.0, rho, features)
 
 
 

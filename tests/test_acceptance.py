@@ -19,16 +19,17 @@ from subgamelab import (GridPursuitParams, LearnerConfig, MetricConfig, Policy,
                         oracle_weight, replicate_fig2, run_experiment,
                         samples_to_converge, solve, solve_ne)
 
-from oracles import support_enumeration_value
+from oracles import feature_game, support_enumeration_value
 
 THRESHOLD = 1e-2
 SEEDS_10 = tuple(range(10))
 
 
-def buffer_of(points, weights) -> WeightedStateBuffer:
-    """Buffer holding states 0..n-1 at the given feature points."""
-    return WeightedStateBuffer(capacity=len(points), states=np.arange(len(points)),
-                               features=points, weights=weights)
+def buffer_of(points, weights):
+    """Buffer holding states 0..n-1, and a game placing them at the given feature points."""
+    buf = WeightedStateBuffer(capacity=len(points), states=np.arange(len(points)),
+                              weights=weights)
+    return buf, feature_game(points)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -234,10 +235,10 @@ def test_criterion_8_metric_identities():
 def test_criterion_9_fps_properties():
     # exhaustive agreement on the 1-D example
     positions = [0.0, 0.1, 0.5, 1.0]
-    buf = buffer_of(np.reshape(positions, (-1, 1)),
-                    [2.0 if x == 0.0 else 1.0 for x in positions])
-    fps_prune(buf, 2)
-    kept = sorted(buf.features[:, 0].tolist())
+    buf, game = buffer_of(np.reshape(positions, (-1, 1)),
+                          [2.0 if x == 0.0 else 1.0 for x in positions])
+    fps_prune(buf, 2, game)
+    kept = sorted(game.features[buf.states, 0].tolist())
     best = max(combinations(positions, 2), key=lambda sub: abs(sub[0] - sub[1]))
     exhaustive_ok = kept == sorted(best)
 
@@ -248,17 +249,17 @@ def test_criterion_9_fps_properties():
     wins = 0
     for _ in range(100):
         pts = rng.random((40, 3))
-        fps_buf = buffer_of(pts, np.ones(40))
-        fps_prune(fps_buf, 8)
+        fps_buf, game = buffer_of(pts, np.ones(40))
+        fps_prune(fps_buf, 8, game)
         chosen = rng.choice(np.arange(40), size=8, replace=False)  # random pruning
-        if spread(fps_buf.features) >= spread(pts[chosen]):
+        if spread(game.features[fps_buf.states]) >= spread(pts[chosen]):
             wins += 1
 
     pts = np.random.default_rng(5).random((25, 2))
     kept_twice = []
     for _ in range(2):
-        buf = buffer_of(pts, [float(i % 7) for i in range(25)])
-        fps_prune(buf, 9)
+        buf, game = buffer_of(pts, [float(i % 7) for i in range(25)])
+        fps_prune(buf, 9, game)
         kept_twice.append(buf.states.tolist())
     deterministic = kept_twice[0] == kept_twice[1]
 

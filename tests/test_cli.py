@@ -72,8 +72,17 @@ UNIFORM = [1.0 / 3.0] * 3
     ({"0": [1.5, -0.5, 0.0], "1": UNIFORM}, "player1 state 0: row has a negative entry"),
     ({"0": UNIFORM, "1": UNIFORM, "01": [1.0, 0.0, 0.0]},
      "player1 state '01' gives state 1 a second row"),
+    ({"0": [True, False, False], "1": UNIFORM},
+     "player1 state 0: row entry True is not a number"),
+    ({"0": UNIFORM, "1": ["x", 0.5, 0.5]}, "player1 state 1: row entry 'x' is not a number"),
+    ({"0": UNIFORM, "1": [None, 0.5, 0.5]}, "player1 state 1: row entry None is not a number"),
+    ({"0": UNIFORM, "1": [[1.0], 0.0, 0.0]},
+     r"player1 state 1: row entry \[1\.0\] is not a number"),
+    ({"0": UNIFORM, "1": 1.0}, "player1 state 1: row is not a JSON array"),
+    ({"0": {"a": 1.0}, "1": UNIFORM}, "player1 state 0: row is not a JSON array"),
 ], ids=["missing", "out_of_range", "negative", "non_integer", "wrong_length", "nan", "inf",
-        "sum_not_one", "negative_entry", "repeated_state"])
+        "sum_not_one", "negative_entry", "repeated_state", "boolean", "string", "null",
+        "nested", "scalar_row", "object_row"])
 def test_exploitability_rejects_bad_policy_file(tmp_path, capsys, player1, message):
     policy = {"player1": player1, "player2": {"0": UNIFORM, "1": UNIFORM}}
     path = tmp_path / "policy.json"

@@ -15,7 +15,7 @@ from subgamelab import (GridPursuitParams, Learner, LearnerConfig, MetricConfig,
                         signed_values, solve_ne)
 from subgamelab.curriculum import METRIC_VARIANTS, _pairwise_distances
 
-from oracles import merge_buffer_insert
+from oracles import feature_game, merge_buffer_insert
 
 
 def ensemble(current, previous=None):
@@ -99,15 +99,15 @@ def test_insert_many_then_prune_to_capacity():
     buf = WeightedStateBuffer(capacity=4)
     buffer_insert(buf, [(s, 1.0) for s in range(8)], game)
     assert len(buf) == 8  # insertion never prunes
-    fps_prune(buf, 4)
+    fps_prune(buf, 4, game)
     assert len(buf) == 4
 
 
 def buffer_of(points, weights):
-    """Buffer holding states 0..n-1 at the given feature points."""
-    points = np.asarray(points, dtype=float)
-    return WeightedStateBuffer(capacity=len(points), states=np.arange(len(points)),
-                               features=points, weights=weights)
+    """Buffer holding states 0..n-1, and a game placing them at the given feature points."""
+    buf = WeightedStateBuffer(capacity=len(points), states=np.arange(len(points)),
+                              weights=weights)
+    return buf, feature_game(points)
 
 
 def one_dim_buffer(positions, weights):
@@ -119,17 +119,17 @@ def min_pairwise(feats):
 
 
 def test_fps_identity_when_small():
-    buf = one_dim_buffer([0.0, 0.5], [1.0, 1.0])
-    assert fps_prune(buf, 5) is buf
+    buf, game = one_dim_buffer([0.0, 0.5], [1.0, 1.0])
+    assert fps_prune(buf, 5, game) is buf
     assert len(buf) == 2
 
 
 def test_fps_matches_exhaustive_max_min_distance():
     # seed is the max-weight entry at 0.0; the optimal 2-subset is {0.0, 1.0}
     positions = [0.0, 0.1, 0.5, 1.0]
-    buf = one_dim_buffer(positions, [2.0, 1.0, 1.0, 1.0])
-    fps_prune(buf, 2)
-    kept = sorted(buf.features[:, 0].tolist())
+    buf, game = one_dim_buffer(positions, [2.0, 1.0, 1.0, 1.0])
+    fps_prune(buf, 2, game)
+    kept = sorted(game.features[buf.states, 0].tolist())
     best = max((subset for subset in combinations(positions, 2)),
                key=lambda sub: min_pairwise([np.array([x]) for x in sub]))
     assert kept == sorted(best) == [0.0, 1.0]
@@ -140,8 +140,8 @@ def test_fps_deterministic_and_keeps_weights():
     pts = rng.random((20, 3))
     kept = []
     for _ in range(2):
-        buf = buffer_of(pts, np.arange(20.0))
-        fps_prune(buf, 6)
+        buf, game = buffer_of(pts, np.arange(20.0))
+        fps_prune(buf, 6, game)
         kept.append(buf.states.tolist())
         assert buf.weights.tolist() == [float(s) for s in buf.states]
     assert kept[0] == kept[1]
@@ -153,20 +153,14 @@ def test_fps_beats_random_pruning_on_spread():
     trials = 100
     for _ in range(trials):
         pts = rng.random((30, 3))
-        fps_buf = buffer_of(pts, np.ones(30))
-        fps_prune(fps_buf, 6)
+        fps_buf, game = buffer_of(pts, np.ones(30))
+        fps_prune(fps_buf, 6, game)
         chosen = rng.choice(np.arange(30), size=6, replace=False)  # random pruning
-        fps_spread = min_pairwise(fps_buf.features)
+        fps_spread = min_pairwise(game.features[fps_buf.states])
         rnd_spread = min_pairwise(pts[chosen])
         if fps_spread >= rnd_spread:
             dominated += 1
     assert dominated >= 95
-
-
-def test_fps_rejects_unnormalized_features():
-    buf = one_dim_buffer([0.0, 2.0, 0.5], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        fps_prune(buf, 2)
 
 
 def test_sampler_p_zero_equals_initial_distribution():
@@ -432,14 +426,12 @@ def test_fps_keeps_the_reference_greedy_set(data, n, dim, k):
     weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 5.0),
                                           min_size=n, max_size=n)))
     states = np.array(sorted(data.draw(st.sets(st.integers(0, 10_000), min_size=n, max_size=n))))
-    buf = WeightedStateBuffer(capacity=n, states=states, features=points, weights=weights)
+    buf = WeightedStateBuffer(capacity=n, states=states, weights=weights)
     expected = (states.tolist() if n <= k
                 else reference_fps_keep(states, points, weights, k))
-    fps_prune(buf, k)
+    fps_prune(buf, k, feature_game(points, states))
     assert buf.states.tolist() == expected
-    rows = np.searchsorted(states, buf.states)
-    assert np.array_equal(buf.features, points[rows])
-    assert np.array_equal(buf.weights, weights[rows])
+    assert np.array_equal(buf.weights, weights[np.searchsorted(states, buf.states)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -455,7 +447,6 @@ def test_buffer_insert_matches_newest_weight_dict(batches):
         reference.update(batch)
         assert buf.states.tolist() == sorted(reference)
         assert buf.weights.tolist() == [reference[s] for s in sorted(reference)]
-        assert buf.features.tolist() == game.features[buf.states].tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -477,15 +468,14 @@ def test_buffer_insert_equals_the_merge_reference(data, rounds):
         handed_out = buf.arrays()
         before = [a.copy() for a in handed_out]
         buffer_insert(buf, batch, game)
-        merge_buffer_insert(ref, batch, game)
-        for name in ("states", "features", "weights"):
+        merge_buffer_insert(ref, batch)
+        for name in ("states", "weights"):
             got, want = getattr(buf, name), getattr(ref, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
         # like the merge, no write in place; a members-only batch rewrites only the weights
         assert all(a.tobytes() == b.tobytes() for a, b in zip(handed_out, before))
-        assert (buf.states is handed_out[0] and buf.features is handed_out[1]) == (
-            kind == "members")
+        assert (buf.states is handed_out[0]) == (kind == "members")
 
 
 def test_buffer_insert_is_all_or_nothing():
@@ -501,11 +491,11 @@ def test_buffer_insert_is_all_or_nothing():
 
 def test_buffer_constructor_validates_members():
     with pytest.raises(ValueError):
-        WeightedStateBuffer(capacity=2, states=[1, 0], features=[[0.0], [1.0]],
-                            weights=[1.0, 1.0])
+        WeightedStateBuffer(capacity=2, states=[1, 0], weights=[1.0, 1.0])
     with pytest.raises(ValueError):
-        WeightedStateBuffer(capacity=2, states=[0, 1], features=[[0.0], [1.0]],
-                            weights=[1.0, -1.0])
+        WeightedStateBuffer(capacity=2, states=[0, 1], weights=[1.0, -1.0])
+    with pytest.raises(ValueError):
+        WeightedStateBuffer(capacity=2, states=[0, 1], weights=[1.0])
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,7 +27,6 @@ def swap_players(game: GameSpec) -> GameSpec:
         discount=game.discount,
         initial_dist=game.initial_dist,
         features=game.features,
-        horizon=game.horizon,
     )
 
 

@@ -31,8 +31,7 @@ def looping_rps1():
     for a1, a2 in ((0, 2), (1, 0), (2, 1)):
         next_states[0, a1, a2, 0] = 0
         reward1[0, a1, a2] = 0.0
-    return dataclasses.replace(game, next_states=next_states, reward1=reward1,
-                               horizon=None)
+    return dataclasses.replace(game, next_states=next_states, reward1=reward1)
 
 
 def test_validation_catches_bad_specs():
@@ -43,8 +42,29 @@ def test_validation_catches_bad_specs():
         dataclasses.replace(good, discount=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(good, next_probs=good.next_probs * 0.5)
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, features=np.full((2, 1), 1.5))
+
+
+def test_gamespec_rejects_unnormalized_features():
+    good = two_state_chain()
+    for bad in (1.5, -0.1, np.nan, np.inf):
+        features = np.array([[0.0], [bad]])
+        with pytest.raises(ValueError, match="features"):
+            dataclasses.replace(good, features=features)
+
+
+def test_gamespec_rejects_nan_next_probs():
+    # a NaN in a padding slot leaves every row's comparison checks passing
+    good = two_state_chain()
+    next_states = np.concatenate([good.next_states, np.full((2, 1, 1, 1), 2)], axis=3)
+    next_probs = np.concatenate([good.next_probs, np.full((2, 1, 1, 1), np.nan)], axis=3)
+    with pytest.raises(ValueError, match="next_probs has a NaN"):
+        dataclasses.replace(good, next_states=next_states, next_probs=next_probs)
+
+
+def test_gamespec_rejects_nan_initial_dist():
+    good = two_state_chain()
+    with pytest.raises(ValueError, match="initial_dist has a NaN"):
+        dataclasses.replace(good, initial_dist=np.array([1.0, np.nan]))
 
 
 def test_subgame_value_matches_analytic_recursion():
@@ -138,6 +158,13 @@ def test_policy_validation():
         Policy(np.array([[1.1, -0.1]]), np.array([[1.0]]))
 
 
+def test_policy_rejects_nan_rows():
+    with pytest.raises(ValueError, match="p1 has a NaN"):
+        Policy(np.array([[np.nan, 1.0]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="p2 has a NaN"):
+        Policy(np.array([[1.0]]), np.array([[np.nan, 1.0]]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 30),
        support=st.integers(1, 3))
@@ -152,6 +179,21 @@ def test_levels_partition_states_below_their_successors(seed, states, support):
     for s in levels:
         live = game.next_probs[s] > 0.0
         assert (game.next_states[s][live] >= s.stop).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(1, 30),
+       support=st.integers(1, 3))
+def test_acyclic_rollout_ends_within_state_count_steps(seed, states, support):
+    # every step moves to a larger index, so no episode outlasts the state
+    # count; that is why one step cap serves every built-in game
+    rng = np.random.default_rng(seed)
+    game = random_acyclic_game(rng, states, 2, 2, support)
+    p1, p2 = rng.dirichlet(np.ones(2), size=(2, states))
+    policy = Policy(p1, p2)
+    for s0 in range(states):
+        ep = rollout(game, policy, s0, rng, max_steps=game.state_count)
+        assert ep.next_states[-1] == game.terminal_index
 
 
 def test_levels_of_built_in_and_cyclic_games():

@@ -1,9 +1,11 @@
 """The package's public names."""
 
 import ast
+from functools import cached_property
 from pathlib import Path
 
 import subgamelab
+from subgamelab import GameSpec
 
 
 def test_star_import_binds_every_exported_name():
@@ -42,9 +44,20 @@ def _uses(path: Path) -> set[str]:
     return found
 
 
-def test_every_exported_name_has_a_use_outside_its_definition():
+def _used_by_the_program() -> set[str]:
     files = [p for p in sorted((ROOT / "src" / "subgamelab").glob("*.py"))
              if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(_uses(p) for p in files))
+    return set().union(*(_uses(p) for p in files))
+
+
+def test_every_exported_name_has_a_use_outside_its_definition():
+    used = _used_by_the_program()
     unused = {name for name in subgamelab.__all__ if name not in used}
     assert unused == set(UNUSED_EXPORTS)
+
+
+def test_every_game_property_has_a_reader():
+    properties = {name for name, value in vars(GameSpec).items()
+                  if isinstance(value, (property, cached_property)) and not name.startswith("_")}
+    assert properties  # the scan sees the class's properties at all
+    assert properties - _used_by_the_program() == set()
