@@ -104,8 +104,8 @@ class GameSpec:
             raise ValueError("initial_dist must be a length-S probability vector")
         if abs(rho.sum() - 1.0) > _PROB_TOL:
             raise ValueError("initial_dist must sum to 1")
-        if feats.ndim != 2 or feats.shape[0] != s_count:
-            raise ValueError("features must have shape (S, d)")
+        if feats.ndim != 2 or feats.shape[0] != s_count or feats.shape[1] < 1:
+            raise ValueError("features must have shape (S, d) with d >= 1")
         if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
             raise ValueError("features must be pre-scaled to [0, 1] per dimension")
         for arr in (ns, npr, r1, rho, feats):
@@ -168,10 +168,9 @@ class Policy:
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be a (S, A) matrix")
             low = arr.min()
-            if low != low:  # NaN passes every comparison below
-                raise ValueError(f"{name} has a NaN entry")
-            if low < 0.0:
-                raise ValueError(f"{name} has negative probabilities")
+            if not low >= 0.0:  # a NaN minimum fails this comparison too
+                raise ValueError(f"{name} has a NaN entry" if low != low
+                                 else f"{name} has negative probabilities")
             if np.abs(arr.sum(axis=1) - 1.0).max() > _PROB_TOL:
                 raise ValueError(f"every {name} row must sum to 1")
             arr.setflags(write=False)

@@ -42,6 +42,8 @@ def test_validation_catches_bad_specs():
         dataclasses.replace(good, discount=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(good, next_probs=good.next_probs * 0.5)
+    with pytest.raises(ValueError, match="d >= 1"):  # FPS needs a distance
+        dataclasses.replace(good, features=np.zeros((2, 0)))
 
 
 def test_gamespec_rejects_unnormalized_features():
