@@ -88,9 +88,10 @@ def _load_policy(path: str, game) -> Policy:
     """Read a JSON policy file: per player, state index -> probability row.
 
     Each player needs exactly one probability row (a JSON array of finite,
-    non-negative numbers summing to 1) of its action count for every state, where ``"1"`` and
-    ``"01"`` name the same state and a key given twice is a second row;
-    anything else is rejected with a message naming the player and state.
+    non-negative numbers summing to 1) of its action count for every state,
+    where ``"1"`` and ``"01"`` name the same state and a key given twice is a
+    second row; anything else is rejected with a message naming the player
+    and state.
     """
     with open(path) as fh:
         data = json.load(fh, object_pairs_hook=_Pairs)

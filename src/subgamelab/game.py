@@ -106,7 +106,7 @@ class GameSpec:
             raise ValueError("initial_dist must sum to 1")
         if feats.ndim != 2 or feats.shape[0] != s_count or feats.shape[1] < 1:
             raise ValueError("features must have shape (S, d) with d >= 1")
-        if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
+        if feats.min() < 0.0 or feats.max() > 1.0:
             raise ValueError("features must be pre-scaled to [0, 1] per dimension")
         for arr in (ns, npr, r1, rho, feats):
             arr.setflags(write=False)
