@@ -7,6 +7,11 @@ with probability p, weighted by those numbers; the rest restart from the
 game's own initial distribution, which keeps equilibrium convergence intact.
 When the buffer overflows, farthest point sampling keeps entries spread out
 in feature space.
+
+The ensemble of M learners is one C-contiguous (S, 2M) member matrix: row s
+holds, learner by learner, player 1's value at s and then player 2's value
+negated, so all 2M members estimate player 1's value and each state's metric
+is one reduction along its row.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envs import _integer_problem
 from .game import GameSpec, Rng, UniformStream, _draw, sample_initial
 from .learner import Learner
 
@@ -42,8 +48,9 @@ class MetricConfig:
             raise ValueError("alpha_bias must be finite and non-negative")
         if self.variant not in METRIC_VARIANTS:
             raise ValueError(f"variant must be one of {METRIC_VARIANTS}")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        problem = _integer_problem("ensemble_size", self.ensemble_size, 1)
+        if problem:
+            raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -57,42 +64,20 @@ class SamplerConfig:
             raise ValueError("p must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ValueEnsemble:
-    """Signed value tables for every ensemble member, now and one epoch ago.
-
-    ``current`` and ``previous`` have shape (M, 2, S) where member values are
-    already sign-adjusted: player 1's values as-is, player 2's negated, so
-    all members estimate the same quantity.
-    """
-
-    current: np.ndarray
-    previous: np.ndarray
-
-    def __post_init__(self):
-        cur = np.asarray(self.current, dtype=np.float64)
-        prev = np.asarray(self.previous, dtype=np.float64)
-        if cur.shape != prev.shape or cur.ndim != 3 or cur.shape[1] != 2:
-            raise ValueError("ensemble tables must share shape (M, 2, S)")
-        object.__setattr__(self, "current", cur)
-        object.__setattr__(self, "previous", prev)
+def _member_values(learners: list[Learner]) -> np.ndarray:
+    """The learners' (S, 2M) member matrix: row s is v1_0(s), -v2_0(s), v1_1(s), ..."""
+    values = [lr.values() for lr in learners]
+    return np.stack([col for v in values for col in (v[0], -v[1])], axis=1)
 
 
-def signed_values(values: np.ndarray) -> np.ndarray:
-    """Sign-adjust (2, S) per-player values so both estimate player 1's value."""
-    return np.stack([values[0], -values[1]])
-
-
-def _member_rows(values: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """(n, 2M) rows of each state's member values, ordered as ``ravel`` of (M, 2)."""
-    return np.ascontiguousarray(np.moveaxis(values[:, :, states], -1, 0)).reshape(
-        states.size, 2 * values.shape[0])
-
-
-def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
+def compute_weights(states, current: np.ndarray, previous: np.ndarray, cfg: MetricConfig,
                     td_context: tuple[Sequence[float], Sequence[int]] | None = None,
                     discount: float = 1.0) -> np.ndarray:
     """Sampling weights of ``states`` under the configured metric variant.
+
+    ``current`` and ``previous`` are (S, 2M) member matrices, now and one
+    epoch ago: row s holds, learner by learner, player 1's value at s and
+    player 2's value negated, so all 2M members estimate player 1's value.
 
     full: alpha_bias * (mean checkpoint difference)^2 plus the population
     variance of the current member values. bias_only / variance_only keep
@@ -103,11 +88,15 @@ def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
     equal to the state count is terminal and contributes zero. Always
     non-negative.
 
-    Every term reduces one state's member values along a contiguous last
-    axis, as the 1-D ``np.mean``/``np.var`` do, so each weight is bit for bit
-    the one the state would get alone.
+    Every term reduces one state's row along the contiguous last axis, as
+    the 1-D ``np.mean``/``np.var`` do, so each weight is bit for bit the one
+    the state would get alone.
     """
     states = np.asarray(states, dtype=np.int64)
+    current = np.ascontiguousarray(current, dtype=np.float64)
+    previous = np.ascontiguousarray(previous, dtype=np.float64)
+    if current.shape != previous.shape or current.ndim != 2 or current.shape[1] % 2:
+        raise ValueError("member values must share one (S, 2M) shape")
     if cfg.variant == "uniform":
         return np.ones(states.size)
     if cfg.variant == "td_error":
@@ -117,18 +106,19 @@ def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
         nxt = np.asarray(td_context[1], dtype=np.int64)
         if reward.shape != states.shape or nxt.shape != states.shape:
             raise ValueError("td_context must hold one reward and one next state per state")
-        v1 = ens.current[:, 0, :]
-        if nxt.size and (nxt.min() < 0 or nxt.max() > v1.shape[1]):
+        s_count = current.shape[0]
+        if nxt.size and (nxt.min() < 0 or nxt.max() > s_count):
             raise ValueError("td_context next states must lie in [0, state count]")
-        terminal = nxt == v1.shape[1]
-        v_here = np.ascontiguousarray(v1[:, states].T).mean(axis=-1)
-        v_next = np.ascontiguousarray(v1[:, np.where(terminal, 0, nxt)].T).mean(axis=-1)
+        terminal = nxt == s_count
+        v1 = np.ascontiguousarray(current[:, 0::2])
+        v_here = v1[states].mean(axis=-1)
+        v_next = v1[np.where(terminal, 0, nxt)].mean(axis=-1)
         v_next[terminal] = 0.0
         return np.abs(reward + discount * v_next - v_here)
-    cur = _member_rows(ens.current, states)
+    cur = current[states]
     if cfg.variant == "variance_only":
         return np.var(cur, axis=-1)
-    diffs = cur - _member_rows(ens.previous, states)
+    diffs = cur - previous[states]
     # Python's float power (libm pow), not np.square: the two round about
     # one value in a thousand differently, and trajectories depend on it
     bias = np.array([m**2 for m in np.mean(diffs, axis=-1).tolist()])
@@ -137,15 +127,16 @@ def compute_weights(states, ens: ValueEnsemble, cfg: MetricConfig,
     return cfg.alpha_bias * bias + np.var(cur, axis=-1)
 
 
-def compute_weight(state: int, ens: ValueEnsemble, cfg: MetricConfig,
-                   td_context: tuple[float, int] | None = None,
+def compute_weight(state: int, current: np.ndarray, previous: np.ndarray,
+                   cfg: MetricConfig, td_context: tuple[float, int] | None = None,
                    discount: float = 1.0) -> float:
     """Sampling weight of one state; :func:`compute_weights` for one entry.
 
     ``td_context`` is the (reward, next state) pair of a step taken there.
     """
     td = None if td_context is None else ([td_context[0]], [td_context[1]])
-    return float(compute_weights([state], ens, cfg, td_context=td, discount=discount)[0])
+    return float(compute_weights([state], current, previous, cfg, td_context=td,
+                                 discount=discount)[0])
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -169,8 +160,9 @@ class WeightedStateBuffer:
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        problem = _integer_problem("capacity", self.capacity, 1)
+        if problem:
+            raise ValueError(problem)
         self.states = np.asarray(self.states, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         n = self.states.size
@@ -329,7 +321,7 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
     """
     table = None
     if buf is not None:
-        previous = np.stack([signed_values(lr.values()) for lr in learners])
+        previous = _member_values(learners)
         table = SamplingTable.of(buf)  # the buffer changes only at epoch end
     episodes = []
     for lr in [member for member in learners for _ in range(episodes_per_epoch)]:
@@ -344,14 +336,12 @@ def curriculum_epoch(learners: list[Learner], buf: WeightedStateBuffer | None,
         for ep in episodes:
             for s, r, nxt in zip(ep.states, ep.rewards1, ep.next_states):
                 visited[s] = (r, nxt)
-        current = np.stack([signed_values(lr.values()) for lr in learners])
-        ens = ValueEnsemble(current=current, previous=previous)
         states = sorted(visited)
         td = None
         if metric_cfg.variant == "td_error":
             td = ([visited[s][0] for s in states], [visited[s][1] for s in states])
-        weights = compute_weights(states, ens, metric_cfg, td_context=td,
-                                  discount=game.discount)
+        weights = compute_weights(states, _member_values(learners), previous, metric_cfg,
+                                  td_context=td, discount=game.discount)
         buffer_insert(buf, zip(states, weights.tolist()), game)
         if len(buf) > buf.capacity:
             fps_prune(buf, buf.capacity, game)

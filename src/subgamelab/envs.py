@@ -34,6 +34,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _integer_problem(name: str, value, least: int) -> str | None:
+    """What is wrong with ``value`` as the integer field ``name`` (at least ``least``), or None."""
+    if not _is_integer(value):
+        return f"{name} must be an integer, got {value!r}"
+    if value < least:
+        return f"{name} must be >= {least}"
+    return None
+
+
 def _is_finite_float(value) -> bool:
     """Whether the real ``value`` is finite as a float; an int beyond its range is not."""
     try:

@@ -297,15 +297,15 @@ def exploitability(game: GameSpec, joint: Policy) -> ExploitabilityReport:
     return ExploitabilityReport(value1, value2, value1 + value2)
 
 
-def oracle_weight(state: int, member_values: np.ndarray, oracle: NESolution) -> float:
-    """Mean squared gap between signed member values and the NE value.
+def oracle_weight(state: int, members: np.ndarray, oracle: NESolution) -> float:
+    """Mean squared gap between the member values at ``state`` and the NE value.
 
-    ``member_values`` stacks signed value tables (any leading shape, last
-    axis indexes states); with the two players' signed tables this equals
-    half the sum of both players' squared value errors.
+    ``members`` is the curriculum's (S, 2M) member matrix: row s holds,
+    learner by learner, player 1's value and player 2's value negated. With
+    both players' values this equals half the sum of both players' squared
+    value errors.
     """
-    members = np.asarray(member_values, dtype=np.float64).reshape(-1, oracle.v_star.shape[1])
-    gaps = oracle.v_star[0, state] - members[:, state]
+    gaps = oracle.v_star[0, state] - np.asarray(members, dtype=np.float64)[state]
     return float(np.mean(gaps**2))
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .curriculum import (MetricConfig, SamplerConfig, WeightedStateBuffer,
                          curriculum_epoch)
-from .envs import ENV_KEYS, ConfigError, RpsParams, build_env, env_params, make_rps
+from .envs import (ENV_KEYS, ConfigError, RpsParams, _integer_problem, _is_integer,
+                   build_env, env_params, make_rps)
 from .evaluation import NESolution, exploitability, solve_ne
 from .game import rollout, uniform_policy
 from .learner import Learner, LearnerConfig, q_error
@@ -92,21 +93,19 @@ class RunConfig:
             errors.append(f"env must be rps or grid_pursuit, got '{self.env}'")
         if self.method not in METHODS:
             errors.append(f"method must be one of {METHODS}, got '{self.method}'")
-        if self.capacity_k < 1:
-            errors.append("capacity_k must be >= 1")
-        if self.episodes_per_epoch < 1:
-            errors.append("episodes_per_epoch must be >= 1")
+        errors += filter(None, (_integer_problem(name, getattr(self, name), 1) for name in
+                                ("capacity_k", "episodes_per_epoch", "sample_budget", "eval_every")))
+        not_integers = [seed for seed in self.seeds if not _is_integer(seed)]
         if not self.seeds:
             errors.append("at least one seed is required")
-        elif min(self.seeds) < 0:
-            errors.append(f"seeds must be non-negative, got {min(self.seeds)}")
-        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
-        if repeated:
-            errors.append(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
-        if self.sample_budget <= 0:
-            errors.append("sample_budget must be positive")
-        if self.eval_every <= 0:
-            errors.append("eval_every must be positive")
+        elif not_integers:
+            errors.append(f"seeds must be integers, got {not_integers[0]!r}")
+        else:
+            if min(self.seeds) < 0:
+                errors.append(f"seeds must be non-negative, got {min(self.seeds)}")
+            repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+            if repeated:
+                errors.append(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
         if not (math.isfinite(self.convergence_threshold) and self.convergence_threshold > 0):
             errors.append("convergence_threshold must be finite and positive")
         if errors:

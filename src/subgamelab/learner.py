@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envs import _integer_problem
 from .game import Episode, GameSpec, Policy, Rng, UniformStream, rollout
 from .matrix_game import solve_stack
 
@@ -45,8 +46,9 @@ class LearnerConfig:
             raise ValueError(f"lr_decay must be None, 'visit_count' or a number in (0, 1], got {d!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        problem = _integer_problem("batch_size", self.batch_size, 1)
+        if problem:
+            raise ValueError(problem)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from subgamelab import (GridPursuitParams, LearnerConfig, MetricConfig, Policy,
-                        RpsParams, RunConfig, SamplerConfig, ValueEnsemble,
+                        RpsParams, RunConfig, SamplerConfig,
                         WeightedStateBuffer, compute_weight,
                         coverage_experiment, exploitability, fps_prune,
                         joint_action_coverage, make_grid_pursuit, make_rps,
@@ -190,37 +190,36 @@ def test_criterion_7_curriculum_preserves_convergence():
 def test_criterion_8_metric_identities():
     game = make_rps(RpsParams(2))
     ne = solve_ne(game)
-    signed_star = np.stack([[ne.v_star[0], -ne.v_star[1]]])
-    converged = ValueEnsemble(current=signed_star, previous=signed_star)
+    signed_star = np.column_stack([ne.v_star[0], -ne.v_star[1]])
     exact_zero = all(
-        compute_weight(s, converged, MetricConfig(alpha_bias=a, variant=v)) == 0.0
+        compute_weight(s, signed_star, signed_star,
+                       MetricConfig(alpha_bias=a, variant=v)) == 0.0
         for s in range(2) for a in (0.0, 0.7, 1.0)
         for v in ("full", "bias_only", "variance_only"))
 
     rng = np.random.default_rng(88)
     identity_worst = 0.0
     for _ in range(100):
-        members = rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 2, 2))
-        ens = ValueEnsemble(current=members,
-                            previous=np.broadcast_to(signed_star, members.shape))
+        m = int(rng.integers(1, 4))
+        members = rng.uniform(-1, 1, size=(2, 2 * m))
         for s in range(2):
             direct = oracle_weight(s, members, ne)
-            decomposed = compute_weight(s, ens, MetricConfig(alpha_bias=1.0))
+            decomposed = compute_weight(s, members, np.tile(signed_star, m),
+                                        MetricConfig(alpha_bias=1.0))
             identity_worst = max(identity_worst, abs(direct - decomposed))
 
     negative = 0
     trials = 10_000
     for _ in range(trials):
         m = int(rng.integers(1, 4))
-        ens = ValueEnsemble(current=rng.uniform(-3, 3, size=(m, 2, 4)),
-                            previous=rng.uniform(-3, 3, size=(m, 2, 4)))
+        ens = (rng.uniform(-3, 3, size=(4, 2 * m)), rng.uniform(-3, 3, size=(4, 2 * m)))
         s = int(rng.integers(0, 4))
         terminal = bool(rng.integers(2))
         nxt = 4 if terminal else int(rng.integers(0, 4))
         step = (float(rng.uniform(-2, 2)), nxt)
         for variant in ("full", "uniform", "bias_only", "variance_only", "td_error"):
             cfg = MetricConfig(alpha_bias=float(rng.uniform(0, 2)), variant=variant)
-            weight = compute_weight(s, ens, cfg,
+            weight = compute_weight(s, *ens, cfg,
                                     td_context=step if variant == "td_error" else None,
                                     discount=0.9)
             if weight < 0.0:

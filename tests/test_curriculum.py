@@ -7,64 +7,57 @@ from hypothesis import strategies as st
 
 from subgamelab import (GridPursuitParams, Learner, LearnerConfig, MetricConfig,
                         RpsParams, RunConfig, SamplerConfig, SamplingTable,
-                        ValueEnsemble, WeightedStateBuffer,
+                        WeightedStateBuffer,
                         buffer_insert, compute_weight, compute_weights,
                         curriculum_epoch, fps_prune, make_grid_pursuit,
                         make_rps, oracle_weight, run_experiment,
                         sample_initial, sample_subgame, samples_to_converge,
-                        signed_values, solve_ne)
-from subgamelab.curriculum import METRIC_VARIANTS, _pairwise_distances
+                        solve_ne)
+from subgamelab.curriculum import METRIC_VARIANTS, _member_values, _pairwise_distances
 
 from oracles import feature_game, merge_buffer_insert
 
 
-def ensemble(current, previous=None):
-    cur = np.asarray(current, dtype=float)
-    prev = cur if previous is None else np.asarray(previous, dtype=float)
-    return ValueEnsemble(current=cur, previous=prev)
-
-
 def test_weight_zero_when_converged():
-    ens = ensemble([[[0.25], [0.25]]])
+    members = np.array([[0.25, 0.25]])
     for variant in ("full", "bias_only", "variance_only"):
         cfg = MetricConfig(alpha_bias=0.7, variant=variant)
-        assert compute_weight(0, ens, cfg) == 0.0
+        assert compute_weight(0, members, members, cfg) == 0.0
 
 
 def test_weight_hand_computed_example():
     # members 0.5 and 0.1 now, 0.3 and 0.1 at the checkpoint:
     # bias = (mean diff)^2 = 0.01, variance = 0.04, total = 0.7*0.01 + 0.04
-    ens = ensemble([[[0.5], [0.1]]], [[[0.3], [0.1]]])
+    ens = (np.array([[0.5, 0.1]]), np.array([[0.3, 0.1]]))
     cfg = MetricConfig(alpha_bias=0.7)
-    assert compute_weight(0, ens, cfg) == pytest.approx(0.047, abs=1e-12)
-    assert compute_weight(0, ens, MetricConfig(variant="bias_only")) == pytest.approx(0.01)
-    assert compute_weight(0, ens, MetricConfig(variant="variance_only")) == pytest.approx(0.04)
-    assert compute_weight(0, ens, MetricConfig(variant="uniform")) == 1.0
+    assert compute_weight(0, *ens, cfg) == pytest.approx(0.047, abs=1e-12)
+    assert compute_weight(0, *ens, MetricConfig(variant="bias_only")) == pytest.approx(0.01)
+    assert compute_weight(0, *ens, MetricConfig(variant="variance_only")) == pytest.approx(0.04)
+    assert compute_weight(0, *ens, MetricConfig(variant="uniform")) == 1.0
 
 
 def test_weight_td_error_variant():
-    ens = ensemble([[[0.0, 1.0 / 3.0], [0.0, 1.0 / 3.0]]])
+    members = np.array([[0.0, 0.0], [1.0 / 3.0, 1.0 / 3.0]])
     cfg = MetricConfig(variant="td_error")
     step = (0.0, 1)  # reward 0, on to state 1
-    assert compute_weight(0, ens, cfg, td_context=step, discount=1.0) == pytest.approx(
-        1.0 / 3.0, abs=1e-12)
+    assert compute_weight(0, members, members, cfg, td_context=step,
+                          discount=1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
     with pytest.raises(ValueError):
-        compute_weight(0, ens, cfg)
+        compute_weight(0, members, members, cfg)
 
 
 def test_weight_nonnegative_on_random_inputs():
     rng = np.random.default_rng(19)
     for _ in range(500):
         m = int(rng.integers(1, 4))
-        cur = rng.uniform(-2, 2, size=(m, 2, 3))
-        prev = rng.uniform(-2, 2, size=(m, 2, 3))
-        ens = ValueEnsemble(current=cur, previous=prev)
+        cur = rng.uniform(-2, 2, size=(3, 2 * m))
+        prev = rng.uniform(-2, 2, size=(3, 2 * m))
         s = int(rng.integers(0, 3))
         step = (float(rng.uniform(-1, 1)), 3)  # a terminal step
         for variant in ("full", "uniform", "bias_only", "variance_only", "td_error"):
             cfg = MetricConfig(alpha_bias=float(rng.uniform(0, 2)), variant=variant)
             td = step if variant == "td_error" else None
-            assert compute_weight(s, ens, cfg, td_context=td) >= 0.0
+            assert compute_weight(s, cur, prev, cfg, td_context=td) >= 0.0
 
 
 def test_full_weight_with_oracle_checkpoint_matches_oracle_weight():
@@ -73,12 +66,11 @@ def test_full_weight_with_oracle_checkpoint_matches_oracle_weight():
     game = make_rps(RpsParams(2))
     ne = solve_ne(game)
     rng = np.random.default_rng(29)
-    current = rng.uniform(-1, 1, size=(1, 2, 2))
-    previous = np.stack([[ne.v_star[0], -ne.v_star[1]]])
-    ens = ValueEnsemble(current=current, previous=previous)
+    current = rng.uniform(-1, 1, size=(2, 2))
+    previous = np.column_stack([ne.v_star[0], -ne.v_star[1]])
     cfg = MetricConfig(alpha_bias=1.0, variant="full")
     for s in range(2):
-        assert compute_weight(s, ens, cfg) == pytest.approx(
+        assert compute_weight(s, current, previous, cfg) == pytest.approx(
             oracle_weight(s, current, ne), abs=1e-9)
 
 
@@ -258,14 +250,24 @@ def test_epoch_respects_capacity():
         assert len(buf) <= 3
 
 
-def test_signed_values_orientation():
-    game = make_rps(RpsParams(1))
-    learners = make_learners(game, seed=0)
-    vt = learners[0].values()
-    signed = signed_values(vt)
-    assert signed.shape == (2, 1)
-    np.testing.assert_array_equal(signed[0], vt[0])
-    np.testing.assert_array_equal(signed[1], -vt[1])
+def test_member_values_layout():
+    # two learners with different random tables, so every column differs:
+    # row s of the member matrix is [v1_0(s), -v2_0(s), v1_1(s), -v2_1(s)]
+    game = make_rps(RpsParams(3))
+    learners = make_learners(game, seed=0, count=2)
+    rng = np.random.default_rng(3)
+    for lr in learners:
+        lr.qtable.q[...] = rng.uniform(-1, 1, size=lr.qtable.q.shape)
+        for s in range(game.state_count):
+            lr.qtable.invalidate(s)
+    v0, v1 = learners[0].values(), learners[1].values()
+    members = _member_values(learners)
+    assert members.shape == (game.state_count, 4)
+    assert members.flags.c_contiguous
+    for s in range(game.state_count):
+        row = [v0[0, s], -v0[1, s], v1[0, s], -v1[1, s]]
+        assert len(set(row)) == 4
+        assert members[s].tolist() == row
 
 
 @pytest.mark.parametrize("variant", ["full", "uniform", "bias_only",
@@ -297,7 +299,7 @@ def test_metric_config_validation():
 # -- the array-backed epoch against reference copies of the per-state code
 # it replaced; every comparison is exact
 
-def reference_weight(state, ens, cfg, td_context=None, discount=1.0):
+def reference_weight(state, current, previous, cfg, td_context=None, discount=1.0):
     """One state's weight, computed the way the per-state formula did.
 
     ``td_context`` is the (reward, next state) pair of a step at ``state``.
@@ -306,12 +308,12 @@ def reference_weight(state, ens, cfg, td_context=None, discount=1.0):
         return 1.0
     if cfg.variant == "td_error":
         reward, nxt = td_context
-        v1 = ens.current[:, 0, :]
-        v_here = float(v1[:, state].mean())
-        v_next = 0.0 if nxt == v1.shape[1] else float(v1[:, nxt].mean())
+        v1 = current[:, 0::2]
+        v_here = float(v1[state].mean())
+        v_next = 0.0 if nxt == v1.shape[0] else float(v1[nxt].mean())
         return abs(reward + discount * v_next - v_here)
-    cur = ens.current[:, :, state].ravel()
-    prev = ens.previous[:, :, state].ravel()
+    cur = current[state]
+    prev = previous[state]
     if cfg.variant == "variance_only":
         return float(np.var(cur))
     bias = float(np.mean(cur - prev)) ** 2
@@ -357,12 +359,12 @@ def random_td_contexts(rng, states, s_count):
 
 def assert_weights_match_reference(states, ens, cfg, td, discount, scalar=True):
     columns = None if td is None else ([r for r, _ in td], [nxt for _, nxt in td])
-    weights = compute_weights(states, ens, cfg, td_context=columns, discount=discount)
+    weights = compute_weights(states, *ens, cfg, td_context=columns, discount=discount)
     contexts = td if td is not None else [None] * len(states)
-    assert weights.tolist() == [reference_weight(s, ens, cfg, step, discount)
+    assert weights.tolist() == [reference_weight(s, *ens, cfg, step, discount)
                                 for s, step in zip(states, contexts)]
     if scalar:
-        assert weights.tolist() == [compute_weight(s, ens, cfg, step, discount)
+        assert weights.tolist() == [compute_weight(s, *ens, cfg, step, discount)
                                     for s, step in zip(states, contexts)]
 
 
@@ -376,8 +378,8 @@ def test_compute_weights_bit_equal_to_per_state_formula(seed, members, s_count, 
     # ensemble sizes 4..6 give 2M >= 8 values per state, past the size where
     # numpy's pairwise summation switches to its unrolled blocks
     rng = np.random.default_rng(seed)
-    ens = ValueEnsemble(current=scale * rng.uniform(-1, 1, size=(members, 2, s_count)),
-                        previous=scale * rng.uniform(-1, 1, size=(members, 2, s_count)))
+    ens = (scale * rng.uniform(-1, 1, size=(s_count, 2 * members)),
+           scale * rng.uniform(-1, 1, size=(s_count, 2 * members)))
     cfg = MetricConfig(alpha_bias=alpha, variant=variant)
     states = rng.integers(0, s_count, size=int(rng.integers(0, 2 * s_count + 1))).tolist()
     td = random_td_contexts(rng, states, s_count) if variant == "td_error" else None
@@ -390,8 +392,8 @@ def test_compute_weights_bit_equal_on_many_states(members):
     # under np.square than under Python's power are sure to occur
     rng = np.random.default_rng(members)
     s_count = 3000
-    ens = ValueEnsemble(current=rng.uniform(-3, 3, size=(members, 2, s_count)),
-                        previous=rng.uniform(-3, 3, size=(members, 2, s_count)))
+    ens = (rng.uniform(-3, 3, size=(s_count, 2 * members)),
+           rng.uniform(-3, 3, size=(s_count, 2 * members)))
     states = list(range(s_count))
     for variant in METRIC_VARIANTS:
         cfg = MetricConfig(alpha_bias=0.7, variant=variant)
@@ -400,16 +402,31 @@ def test_compute_weights_bit_equal_on_many_states(members):
 
 
 def test_compute_weights_checks_td_contexts():
-    ens = ensemble([[[0.0, 0.5], [0.0, 0.5]]])
+    members = np.array([[0.0, 0.0], [0.5, 0.5]])
+    ens = (members, members)
     cfg = MetricConfig(variant="td_error")
     with pytest.raises(ValueError):
-        compute_weights([0, 1], ens, cfg)
+        compute_weights([0, 1], *ens, cfg)
     with pytest.raises(ValueError):  # one step for two states
-        compute_weights([0, 1], ens, cfg, td_context=([0.0], [2]))
+        compute_weights([0, 1], *ens, cfg, td_context=([0.0], [2]))
     with pytest.raises(ValueError):  # state 3 is past the terminal index 2
-        compute_weights([0, 1], ens, cfg, td_context=([0.0, 0.0], [2, 3]))
+        compute_weights([0, 1], *ens, cfg, td_context=([0.0, 0.0], [2, 3]))
     with pytest.raises(ValueError):
-        compute_weights([0, 1], ens, cfg, td_context=([0.0, 0.0], [-1, 2]))
+        compute_weights([0, 1], *ens, cfg, td_context=([0.0, 0.0], [-1, 2]))
+
+
+@pytest.mark.parametrize("current, previous", [
+    (np.zeros((3, 2)), np.zeros((3, 4))),
+    (np.zeros((3, 2)), np.zeros((2, 2))),
+    (np.zeros((3, 3)), np.zeros((3, 3))),
+    (np.zeros((1, 2, 3)), np.zeros((1, 2, 3))),
+    (np.zeros(2), np.zeros(2)),
+], ids=["member_counts_differ", "state_counts_differ", "odd_width", "three_axes", "one_axis"])
+def test_compute_weights_rejects_bad_member_matrices(current, previous):
+    for variant in METRIC_VARIANTS:
+        with pytest.raises(ValueError, match="member values"):
+            compute_weights([0], current, previous, MetricConfig(variant=variant),
+                            td_context=([0.0], [1]))
 
 
 GRID = make_grid_pursuit(GridPursuitParams(3, 3, 4))  # 288 states

@@ -163,9 +163,9 @@ def test_exploitability_nonnegative_and_positive_when_perturbed():
 def test_oracle_weight_values():
     game = make_rps(RpsParams(1))
     ne = solve_ne(game)
-    zeros = np.zeros((1, 2, 1))
+    zeros = np.zeros((1, 2))
     assert oracle_weight(0, zeros, ne) == pytest.approx(1.0 / 9.0, abs=1e-12)
-    exact = np.stack([[ne.v_star[0], -ne.v_star[1]]])
+    exact = np.column_stack([ne.v_star[0], -ne.v_star[1]])
     assert oracle_weight(0, exact, ne) == 0.0
 
 
@@ -173,9 +173,9 @@ def test_oracle_weight_bias_variance_identity():
     rng = np.random.default_rng(5)
     game = make_rps(RpsParams(2))
     ne = solve_ne(game)
-    members = rng.uniform(-1, 1, size=(3, 2, 2))
+    members = rng.uniform(-1, 1, size=(2, 6))
     for s in range(2):
-        gaps = ne.v_star[0, s] - members[:, :, s].ravel()
+        gaps = ne.v_star[0, s] - members[s]
         decomposed = np.mean(gaps) ** 2 + np.var(gaps)
         assert oracle_weight(s, members, ne) == pytest.approx(decomposed, abs=1e-12)
 

@@ -5,7 +5,7 @@ from subgamelab import (ExperimentRecord, GridPursuitParams, Learner, LearnerCon
                         MetricConfig, RecordRow, RunConfig, SamplerConfig,
                         coverage_experiment, exploration_policy, joint_action_coverage,
                         parse_config, replicate_fig2, run_experiment,
-                        samples_to_converge)
+                        WeightedStateBuffer, samples_to_converge)
 from subgamelab import harness
 from subgamelab.harness import fig2_run_config, fig2_to_csv
 
@@ -181,6 +181,33 @@ def test_run_config_validation_enumerates_errors():
     message = str(err.value)
     for fragment in ("env must be", "method must be", "sample_budget", "eval_every"):
         assert fragment in message
+
+
+INTEGER_FIELDS = {
+    "capacity_k": lambda v: RunConfig(env="rps", env_params={"rps_n": 2}, method="sacl",
+                                      capacity_k=v),
+    "episodes_per_epoch": lambda v: rps_config(episodes_per_epoch=v),
+    "sample_budget": lambda v: rps_config(budget=v),
+    "eval_every": lambda v: RunConfig(env="rps", env_params={"rps_n": 2},
+                                      method="self_play", eval_every=v),
+    "seeds": lambda v: rps_config(seeds=(0, v)),
+    "batch_size": lambda v: LearnerConfig(batch_size=v),
+    "ensemble_size": lambda v: MetricConfig(ensemble_size=v),
+    "capacity": lambda v: WeightedStateBuffer(capacity=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5, True], ids=["nan", "float", "bool"])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_fields_reject_non_integers(name, value):
+    # NaN compares false with every bound, so only a type check catches it;
+    # a bool is an int to Python but not a count or a seed
+    with pytest.raises(ValueError) as err:
+        INTEGER_FIELDS[name](value)
+    problems = getattr(err.value, "problems", [str(err.value)])
+    assert [p for p in problems if p.startswith(f"{name} must be")] == [
+        f"{name} must be {'integers' if name == 'seeds' else 'an integer'}, got {value!r}"]
+    INTEGER_FIELDS[name](np.int64(3))  # numpy integers are integers
 
 
 def test_parse_config_roundtrip():
