@@ -21,12 +21,12 @@ __all__ = [
     "GridPursuitParams", "Learner", "LearnerConfig", "MatrixSolution",
     "MetricConfig", "NESolution", "Policy", "QTable", "RecordRow", "Rng",
     "RpsParams", "RunConfig", "SamplerConfig", "SamplingTable", "UniformStream",
-    "WeightedStateBuffer", "best_response", "buffer_insert", "build_env",
-    "compute_weight", "compute_weights", "coverage_experiment",
+    "WeightedStateBuffer", "best_response", "buffer_insert",
+    "build_env", "compute_weight", "compute_weights", "coverage_experiment",
     "curriculum_epoch", "exploitability", "exploration_policy", "fps_prune",
     "joint_action_coverage", "make_grid_pursuit", "make_rps", "matchup_value",
     "minimax_q_update", "oracle_weight", "parse_config", "q_error",
     "replicate_fig2", "rollout", "run_experiment", "sample_initial",
-    "sample_subgame", "samples_to_converge", "solve", "solve_ne", "solve_stack",
-    "uniform_policy", "values_from_q",
+    "sample_subgame", "samples_to_converge", "solve", "solve_ne",
+    "solve_stack", "uniform_policy", "values_from_q",
 ]
