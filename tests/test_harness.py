@@ -184,8 +184,7 @@ def test_run_config_validation_enumerates_errors():
 
 
 INTEGER_FIELDS = {
-    "capacity_k": lambda v: RunConfig(env="rps", env_params={"rps_n": 2}, method="sacl",
-                                      capacity_k=v),
+    "capacity_k": lambda v: rps_config(capacity_k=v),
     "episodes_per_epoch": lambda v: rps_config(episodes_per_epoch=v),
     "sample_budget": lambda v: rps_config(budget=v),
     "eval_every": lambda v: RunConfig(env="rps", env_params={"rps_n": 2},
