@@ -5,37 +5,47 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import harness
-from .envs import build_env
+from .envs import ENVS, build_env
 from .evaluation import exploitability, solve_ne
 from .game import _PROB_TOL, Policy
 from .matrix_game import solve
 
+# a size flag left out builds the 3x3 grid with horizon 4; these are not
+# config defaults, so a grid config file without sizes is still refused
+_UNSIZED = {"--width": 3, "--height": 3, "--horizon": 4}
+# every env parameter field -> (its flag, the field's name with - for _, its type)
+_ENV_FLAGS = {field: ("--" + field.replace("_", "-"), kind)
+              for _, _, keys, _ in ENVS.values() for field, kind in keys.values()}
+
 
 def _env_params_from_args(args) -> dict:
+    """The flat config keys of ``--env``; a flag of another env is refused."""
+    cls, _, keys, _ = ENVS[args.env]
+    own = {field for field, _ in keys.values()}
+    for field, (flag, _) in _ENV_FLAGS.items():
+        if field not in own and getattr(args, field) is not None:
+            raise ValueError(f"{flag} does not apply to env {args.env}")
+    required = {f.name for f in fields(cls) if f.default is MISSING}
     params = {}
-    if args.env == "rps":
-        if args.n is None:
-            raise ValueError("--n is required for the rps environment")
-        params["rps_n"] = args.n
-    else:
-        params["grid_width"] = args.width
-        params["grid_height"] = args.height
-        params["grid_horizon"] = args.horizon
-        params["capture_reward"] = args.capture_reward
+    for key, (field, _) in keys.items():
+        flag = _ENV_FLAGS[field][0]
+        value = _UNSIZED.get(flag) if getattr(args, field) is None else getattr(args, field)
+        if value is not None:
+            params[key] = value
+        elif field in required:
+            raise ValueError(f"{flag} is required for the {args.env} environment")
     return params
 
 
 def _add_env_args(parser) -> None:
-    parser.add_argument("--env", choices=("rps", "grid_pursuit"), required=True)
-    parser.add_argument("--n", type=int, default=None, help="rps rounds")
-    parser.add_argument("--width", type=int, default=3)
-    parser.add_argument("--height", type=int, default=3)
-    parser.add_argument("--horizon", type=int, default=4)
-    parser.add_argument("--capture-reward", type=float, default=1.0)
+    parser.add_argument("--env", choices=tuple(ENVS), required=True)
+    for flag, kind in _ENV_FLAGS.values():
+        parser.add_argument(flag, type=kind)
 
 
 def _write_output(text: str, path: str | None) -> None:

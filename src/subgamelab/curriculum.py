@@ -90,13 +90,19 @@ def compute_weights(states, current: np.ndarray, previous: np.ndarray, cfg: Metr
 
     Every term reduces one state's row along the contiguous last axis, as
     the 1-D ``np.mean``/``np.var`` do, so each weight is bit for bit the one
-    the state would get alone.
+    the state would get alone. A state outside [0, S) raises ``ValueError``
+    under every variant.
     """
-    states = np.asarray(states, dtype=np.int64)
     current = np.ascontiguousarray(current, dtype=np.float64)
     previous = np.ascontiguousarray(previous, dtype=np.float64)
     if current.shape != previous.shape or current.ndim != 2 or current.shape[1] % 2:
         raise ValueError("member values must share one (S, 2M) shape")
+    s_count = current.shape[0]
+    # Python min/max: on an epoch's few states several times cheaper than numpy's
+    if len(states) and (min(states) < 0 or max(states) >= s_count):
+        bad = next(s for s in states if not 0 <= s < s_count)
+        raise ValueError(f"state {bad} is not a state index in 0..{s_count - 1}")
+    states = np.asarray(states, dtype=np.int64)
     if cfg.variant == "uniform":
         return np.ones(states.size)
     if cfg.variant == "td_error":
@@ -106,7 +112,6 @@ def compute_weights(states, current: np.ndarray, previous: np.ndarray, cfg: Metr
         nxt = np.asarray(td_context[1], dtype=np.int64)
         if reward.shape != states.shape or nxt.shape != states.shape:
             raise ValueError("td_context must hold one reward and one next state per state")
-        s_count = current.shape[0]
         if nxt.size and (nxt.min() < 0 or nxt.max() > s_count):
             raise ValueError("td_context next states must lie in [0, state count]")
         terminal = nxt == s_count

@@ -189,12 +189,13 @@ def make_grid_pursuit(params: GridPursuitParams) -> GameSpec:
                     features.reshape(s_count, 5))
 
 
-# flat config key -> parameter field, per environment
-ENV_KEYS = {
-    "rps": (RpsParams, {"rps_n": "n"}),
-    "grid_pursuit": (GridPursuitParams, {"grid_width": "width", "grid_height": "height",
-                                         "grid_horizon": "horizon",
-                                         "capture_reward": "capture_reward"}),
+# env -> (parameters, constructor, config key -> (field, int | float), config eval_every or None)
+ENVS = {
+    "rps": (RpsParams, make_rps, {"rps_n": ("n", int)}, None),
+    "grid_pursuit": (GridPursuitParams, make_grid_pursuit,
+                     {"grid_width": ("width", int), "grid_height": ("height", int),
+                      "grid_horizon": ("horizon", int), "capture_reward": ("capture_reward", float)},
+                     1000),  # coarser evaluation suits the larger game
 }
 
 
@@ -205,17 +206,17 @@ def env_params(name: str, flat: dict) -> RpsParams | GridPursuitParams:
     a missing required key, or any out-of-range value raises
     :class:`ConfigError` listing them all.
     """
-    if name not in ENV_KEYS:
-        raise ValueError(f"unknown environment '{name}' (expected rps or grid_pursuit)")
-    cls, keys = ENV_KEYS[name]
+    if name not in ENVS:
+        raise ValueError(f"unknown environment '{name}' (expected {' or '.join(ENVS)})")
+    cls, _, keys, _ = ENVS[name]
     required = {f.name for f in fields(cls) if f.default is MISSING}
     problems = [f"key '{key}' does not apply to env {name}" for key in flat if key not in keys]
-    missing = [f"env {name} requires {key}" for key, field in keys.items()
+    missing = [f"env {name} requires {key}" for key, (field, _) in keys.items()
                if field in required and key not in flat]
     problems += missing
     if not missing:
         try:
-            params = cls(**{field: flat[key] for key, field in keys.items() if key in flat})
+            params = cls(**{field: flat[key] for key, (field, _) in keys.items() if key in flat})
         except ConfigError as exc:
             problems += exc.problems
     if problems:
@@ -225,7 +226,5 @@ def env_params(name: str, flat: dict) -> RpsParams | GridPursuitParams:
 
 def build_env(name: str, params: dict) -> GameSpec:
     """Construct a named environment from flat config parameters."""
-    built = env_params(name, params)
-    if isinstance(built, RpsParams):
-        return make_rps(built)
-    return make_grid_pursuit(built)
+    built = env_params(name, params)  # an unknown name raises here
+    return ENVS[name][1](built)

@@ -60,6 +60,12 @@ class GameSpec:
     Finite-horizon games must encode the timestep in the state index so that
     transitions only move to strictly larger indices (checked lazily by
     ``levels``).
+
+    The arrays are adopted, not copied: an input already of the stored dtype
+    and C-contiguous becomes the game's own array, and every stored array is
+    made read-only, the caller's included. The freeze keeps the cached
+    ``levels`` and ``initial_cdf`` valid; copying would add a transient second
+    set of arrays, about 16 MB on a 6x6 grid with horizon 20.
     """
 
     next_states: np.ndarray  # (S, A1, A2, K) int64, entries in [0, S]
@@ -156,7 +162,9 @@ class Policy:
     """Per-player state-conditioned mixed strategies.
 
     ``p1`` has shape (S, A1) and ``p2`` shape (S, A2); each row is a
-    probability vector.
+    probability vector. As in :class:`GameSpec`, a C-contiguous float64 input
+    is adopted, not copied, and made read-only, so the caller can no longer
+    write to it; the freeze keeps the cached ``row_cdf_lists`` valid.
     """
 
     p1: np.ndarray

@@ -27,7 +27,7 @@ import numpy as np
 
 from .curriculum import (MetricConfig, SamplerConfig, WeightedStateBuffer,
                          curriculum_epoch)
-from .envs import (ENV_KEYS, ConfigError, RpsParams, _integer_problem, _is_integer,
+from .envs import (ENVS, ConfigError, RpsParams, _integer_problem, _is_integer,
                    build_env, env_params, make_rps)
 from .evaluation import NESolution, exploitability, solve_ne
 from .game import rollout, uniform_policy
@@ -89,8 +89,8 @@ class RunConfig:
 
     def __post_init__(self):
         errors = []
-        if self.env not in ("rps", "grid_pursuit"):
-            errors.append(f"env must be rps or grid_pursuit, got '{self.env}'")
+        if self.env not in ENVS:
+            errors.append(f"env must be {' or '.join(ENVS)}, got '{self.env}'")
         if self.method not in METHODS:
             errors.append(f"method must be one of {METHODS}, got '{self.method}'")
         errors += filter(None, (_integer_problem(name, getattr(self, name), 1) for name in
@@ -382,9 +382,8 @@ _CONFIG_KEYS = {
     "capacity_k": ("run", _INT), "episodes_per_epoch": ("run", _INT),
     "sample_budget": ("run", _INT), "eval_every": ("run", _INT),
     "convergence_threshold": ("run", _FLOAT),
-    "rps_n": ("env_params", _INT), "grid_width": ("env_params", _INT),
-    "grid_height": ("env_params", _INT), "grid_horizon": ("env_params", _INT),
-    "capture_reward": ("env_params", _FLOAT),
+    **{key: ("env_params", _number(kind)) for _, _, keys, _ in ENVS.values()
+       for key, (_, kind) in keys.items()},
     "lr": ("learner", _FLOAT), "lr_decay": ("learner", _lr_decay),
     "epsilon": ("learner", _FLOAT), "batch_size": ("learner", _INT),
     "alpha_bias": ("metric", _FLOAT), "variant": ("metric", str),
@@ -442,8 +441,10 @@ def parse_config(text: str) -> RunConfig:
     for required in ("env", "method"):
         if required not in run:
             errors.append(f"missing required key '{required}'")
-    if run.get("env") in ENV_KEYS:  # an unknown env is RunConfig's problem
+    if run.get("env") in ENVS:  # an unknown env is RunConfig's problem
         _build(env_params, {"name": run["env"], "flat": flat_env}, errors)
+        if ENVS[run["env"]][3] is not None:
+            run.setdefault("eval_every", ENVS[run["env"]][3])
 
     for part, cls in (("learner", LearnerConfig), ("metric", MetricConfig),
                       ("sampler", SamplerConfig)):
@@ -452,8 +453,6 @@ def parse_config(text: str) -> RunConfig:
             run[part] = built
     cfg = None
     if "env" in run and "method" in run:
-        if run["env"] == "grid_pursuit":
-            run.setdefault("eval_every", 1000)  # coarser evaluation suits the larger game
         cfg = _build(RunConfig, {**run, "env_params": flat_env}, errors)
     if errors:
         raise ConfigError("config errors", errors)

@@ -1,10 +1,13 @@
+import argparse
 import json
 import re
 
 import numpy as np
 import pytest
 
-from subgamelab.cli import main
+from subgamelab import build_env, parse_config, solve_ne
+from subgamelab.cli import _add_env_args, _env_params_from_args, main
+from subgamelab.envs import ENVS, env_params
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +48,41 @@ def test_ne_solve_rps(capsys):
     assert out["values_player1"][0] == pytest.approx(1.0 / 9.0, abs=1e-9)
     assert out["residual"] == 0.0
     np.testing.assert_allclose(out["policy_player1"][0], np.ones(3) / 3, atol=1e-9)
+
+
+def test_ne_solve_grid_pursuit_is_the_game_of_the_same_config_keys(capsys):
+    def report(flat):
+        ne = solve_ne(build_env("grid_pursuit", flat))
+        return {"values_player1": ne.v_star[0].tolist(),
+                "policy_player1": ne.ne_policy.p1.tolist(),
+                "policy_player2": ne.ne_policy.p2.tolist(), "residual": ne.residual}
+
+    unsized = json.loads(run_cli(capsys, "ne-solve", "--env", "grid_pursuit"))
+    assert len(unsized["values_player1"]) == 288
+    assert unsized == report({"grid_width": 3, "grid_height": 3, "grid_horizon": 4})
+    sized = json.loads(run_cli(capsys, "ne-solve", "--env", "grid_pursuit", "--width", "2",
+                               "--height", "2", "--horizon", "2", "--capture-reward", "2"))
+    assert sized == report({"grid_width": 2, "grid_height": 2, "grid_horizon": 2,
+                            "capture_reward": 2.0})
+
+
+@pytest.mark.parametrize("name", ENVS)
+def test_cli_flags_and_config_keys_give_the_same_env_params(name):
+    keys = ENVS[name][2]
+    # every key a distinct valid value: 2, 3, 4, ... in the table's order
+    values = {key: kind(2 + i) for i, (key, (_, kind)) in enumerate(keys.items())}
+    text = f"env = {name}\nmethod = sacl\n" + "".join(f"{key} = {value}\n"
+                                                      for key, value in values.items())
+    from_config = parse_config(text).env_params
+    parser = argparse.ArgumentParser()
+    _add_env_args(parser)
+    argv = ["--env", name]
+    for key, (field, _) in keys.items():  # a flag is its field's name with - for _
+        argv += ["--" + field.replace("_", "-"), str(values[key])]
+    from_flags = _env_params_from_args(parser.parse_args(argv))
+    assert from_flags == from_config == values
+    assert [type(v) for v in from_flags.values()] == [type(v) for v in from_config.values()]
+    assert env_params(name, from_flags) == env_params(name, from_config)
 
 
 def test_exploitability_policy_file(tmp_path, capsys):
@@ -159,7 +197,12 @@ def test_replicate_fig2_subcommand(tmp_path, capsys):
      ["subgamelab train: error: [Errno 2] No such file or directory: 'absent.cfg'"]),
     (["ne-solve", "--env", "rps"],
      ["subgamelab ne-solve: error: --n is required for the rps environment"]),
-], ids=["bad_config", "missing_config", "rps_without_rounds"])
+    (["ne-solve", "--env", "rps", "--n", "1", "--width", "9", "--horizon", "0"],
+     ["subgamelab ne-solve: error: --width does not apply to env rps"]),
+    (["ne-solve", "--env", "grid_pursuit", "--n", "3"],
+     ["subgamelab ne-solve: error: --n does not apply to env grid_pursuit"]),
+], ids=["bad_config", "missing_config", "rps_without_rounds", "grid_flag_on_rps",
+        "rps_flag_on_grid"])
 def test_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, lines):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("env = rps\nrps_n = 2\nmethod = sacl\n"

@@ -415,6 +415,15 @@ def test_compute_weights_checks_td_contexts():
         compute_weights([0, 1], *ens, cfg, td_context=([0.0, 0.0], [-1, 2]))
 
 
+@pytest.mark.parametrize("variant", METRIC_VARIANTS)
+@pytest.mark.parametrize("state", [-1, 2], ids=["negative", "past_the_end"])
+def test_compute_weights_rejects_a_state_outside_the_matrix(variant, state):
+    members = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])  # S=2, M=2
+    with pytest.raises(ValueError, match=f"state {state} is not a state index in 0..1"):
+        compute_weights([0, state, 1], members, members, MetricConfig(variant=variant),
+                        td_context=([0.0] * 3, [2] * 3))
+
+
 @pytest.mark.parametrize("current, previous", [
     (np.zeros((3, 2)), np.zeros((3, 4))),
     (np.zeros((3, 2)), np.zeros((2, 2))),

@@ -160,6 +160,23 @@ def test_policy_validation():
         Policy(np.array([[1.1, -0.1]]), np.array([[1.0]]))
 
 
+def test_policy_and_game_adopt_and_freeze_the_callers_arrays():
+    p1, p2 = np.full((2, 3), 1.0 / 3.0), np.array([[1.0], [1.0]])
+    policy = Policy(p1, p2)
+    assert policy.p1 is p1 and policy.p2 is p2
+    with pytest.raises(ValueError, match="read-only"):
+        p1[0, 0] = 0.5
+    chain = two_state_chain()
+    reward1 = np.array([[[0.5]], [[-0.25]]])
+    game = dataclasses.replace(chain, reward1=reward1)
+    assert game.reward1 is reward1
+    with pytest.raises(ValueError, match="read-only"):
+        reward1[0, 0, 0] = 1.0
+    # an input of another dtype or layout is converted, so the caller's stays writable
+    ints = np.ones((2, 1), dtype=np.int64)
+    assert Policy(p1, ints).p2 is not ints and ints.flags.writeable
+
+
 def test_policy_rejects_nan_rows():
     with pytest.raises(ValueError, match="p1 has a NaN"):
         Policy(np.array([[np.nan, 1.0]]), np.array([[1.0]]))
