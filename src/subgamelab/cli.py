@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import harness
-from .envs import ENVS, build_env
+from .envs import ENVS, ConfigError, build_env
 from .evaluation import exploitability, solve_ne
 from .game import _PROB_TOL, Policy
 from .matrix_game import solve
@@ -40,6 +41,17 @@ def _env_params_from_args(args) -> dict:
         elif field in required:
             raise ValueError(f"{flag} is required for the {args.env} environment")
     return params
+
+
+def _env_from_args(args):
+    """The game of ``--env`` and its flags; a bad value's message names its flag, not its key."""
+    params = _env_params_from_args(args)
+    try:
+        return build_env(args.env, params)
+    except ConfigError as exc:
+        flags = {key: _ENV_FLAGS[field][0] for key, (field, _) in ENVS[args.env][2].items()}
+        keys = re.compile(r"\b(" + "|".join(flags) + r")\b")
+        raise ValueError(keys.sub(lambda key: flags[key[0]], str(exc))) from None
 
 
 def _add_env_args(parser) -> None:
@@ -80,7 +92,7 @@ def cmd_coverage(args) -> None:
 
 
 def cmd_ne_solve(args) -> None:
-    game = build_env(args.env, _env_params_from_args(args))
+    game = _env_from_args(args)
     ne = solve_ne(game)
     print(json.dumps({
         "values_player1": ne.v_star[0].tolist(),
@@ -149,7 +161,7 @@ def _load_policy(path: str, game) -> Policy:
 
 
 def cmd_exploitability(args) -> None:
-    game = build_env(args.env, _env_params_from_args(args))
+    game = _env_from_args(args)
     joint = _load_policy(args.policy, game)
     report = exploitability(game, joint)
     print(json.dumps({

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import _integer_problem
+from .envs import _integer_problem, _is_integer
 from .game import GameSpec, Rng, UniformStream, _draw, sample_initial
 from .learner import Learner
 
@@ -90,8 +90,9 @@ def compute_weights(states, current: np.ndarray, previous: np.ndarray, cfg: Metr
 
     Every term reduces one state's row along the contiguous last axis, as
     the 1-D ``np.mean``/``np.var`` do, so each weight is bit for bit the one
-    the state would get alone. A state outside [0, S) raises ``ValueError``
-    under every variant.
+    the state would get alone. A state outside [0, S), or one that is not
+    an integer (a bool or a float), raises ``ValueError`` under every
+    variant.
     """
     current = np.ascontiguousarray(current, dtype=np.float64)
     previous = np.ascontiguousarray(previous, dtype=np.float64)
@@ -102,7 +103,11 @@ def compute_weights(states, current: np.ndarray, previous: np.ndarray, cfg: Metr
     if len(states) and (min(states) < 0 or max(states) >= s_count):
         bad = next(s for s in states if not 0 <= s < s_count)
         raise ValueError(f"state {bad} is not a state index in 0..{s_count - 1}")
-    states = np.asarray(states, dtype=np.int64)
+    array = np.asarray(states)
+    if array.dtype.kind not in "iu" and array.size:  # a bool or float would index silently
+        bad = next((s for s in states if not _is_integer(s)), states[0])
+        raise ValueError(f"state {bad} is not an integer state index")
+    states = array.astype(np.int64, copy=False)
     if cfg.variant == "uniform":
         return np.ones(states.size)
     if cfg.variant == "td_error":

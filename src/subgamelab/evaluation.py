@@ -3,13 +3,18 @@
 Every oracle is exact and finishes in a finite number of steps. A
 topologically ordered (finite-horizon) game takes one backward pass, a
 slice of ``GameSpec.levels`` at a time, which builds each state's stage
-matrix r + discount * E[v(s')] and reduces it to a value. Only the reducer
-differs: the maximin of the stage game for the Nash equilibrium (Shapley
-1953), solved by one ``solve_stack`` call for all the stage games of a
-slice; the best row of the stage matrix marginalised over a fixed opponent
-for the exact best response (strictly stronger than a learned
-approximation at tabular scale); and the bilinear form of two fixed
-policies for the matchup value.
+matrix r + discount * E[v(s')] and reduces it to a value. The pass keeps
+only the values and each reducer's per-state output, (v, aux); a reducer
+that needs the stage matrices (the equilibrium's Q*) stores them itself.
+Only the reducer differs: the maximin of the stage game for the Nash
+equilibrium (Shapley 1953), solved by one ``solve_stack`` call for all the
+stage games of a slice; the best row of the stage matrix marginalised over
+a fixed opponent for the exact best response (strictly stronger than a
+learned approximation at tabular scale); and the bilinear form of two
+fixed policies for the matchup value. On a slice of many states the
+expectation over a short successor support and the best reply's max are
+chains of elementwise calls (``game._reduce_short``), bit for bit numpy's
+reductions at a fraction of their cost there.
 
 A cyclic game has no such order. There the oracles rest on one
 policy-evaluation kernel: the values of a fixed pair of mixtures are one
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, Policy
+from .game import _TALL, GameSpec, Policy, _reduce_short
 from .matrix_game import solve_stack
 
 # strategy iteration stops once no value moves by more than this times
@@ -81,7 +86,10 @@ def _stages(game: GameSpec, reward: np.ndarray, v_ext: np.ndarray, s) -> np.ndar
 
     ``v_ext`` holds one value per state plus a trailing zero for the terminal.
     """
-    return reward[s] + game.discount * (game.next_probs[s] * v_ext[game.next_states[s]]).sum(-1)
+    successors = game.next_probs[s] * v_ext[game.next_states[s]]
+    expected = (successors.sum(-1) if len(successors) < _TALL
+                else _reduce_short(np.add, successors, -1))
+    return reward[s] + game.discount * expected
 
 
 def _maximin(stages: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
@@ -101,18 +109,17 @@ def _backward(game: GameSpec, reward: np.ndarray, reduce):
     """One exact backward pass over ``game.levels`` with the backup ``reduce``.
 
     ``reduce(stages, s)`` maps the stage matrices of the states ``s`` (a
-    slice) to their values and a per-state auxiliary array. Returns (v,
-    stages, aux).
+    slice) to their values and a per-state auxiliary array. The stage
+    matrices are not kept; a reducer that needs them stores them. Returns
+    (v, aux).
     """
     v_ext = np.zeros(game.state_count + 1)
     v = v_ext[:-1]
-    stages = np.empty(reward.shape)
     parts = []
     for s in game.levels:
-        stages[s] = _stages(game, reward, v_ext, s)
-        v[s], aux = reduce(stages[s], s)
+        v[s], aux = reduce(_stages(game, reward, v_ext, s), s)
         parts.append(aux)
-    return v, stages, np.concatenate(parts[::-1])
+    return v, np.concatenate(parts[::-1])
 
 
 def _evaluate(game: GameSpec, reward: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -238,14 +245,19 @@ def solve_ne(game: GameSpec) -> NESolution:
     cyclic one (see the module notes for its size limit and the discount-1
     requirement).
     """
+    q_star = np.empty((2, *game.reward1.shape))
     if game.levels is not None:
-        v1, q1, strategies = _backward(game, game.reward1, _maximin)
+        def shapley(stages, s):  # the stage matrices are player 1's Q*
+            q_star[0, s] = stages
+            return _maximin(stages, s)
+
+        v1, strategies = _backward(game, game.reward1, shapley)
         residual = 0.0
     else:
-        v1, q1, strategies, residual = _strategy_iteration(game)
+        v1, q_star[0], strategies, residual = _strategy_iteration(game)
+    np.negative(q_star[0], out=q_star[1])
     a1 = game.action_counts[0]
     v_star = np.stack([v1, -v1])
-    q_star = np.stack([q1, -q1])
     return NESolution(v_star, q_star, Policy(strategies[:, :a1], strategies[:, a1:]), residual)
 
 
@@ -265,11 +277,12 @@ def best_response(game: GameSpec, opponent: np.ndarray, player: int) -> tuple[np
 
     def reply(stages, s):
         rows = _marginal(stages, opponent[s], player)
-        return rows.max(axis=1), rows
+        best = rows.max(axis=1) if len(rows) < _TALL else _reduce_short(np.maximum, rows, 1)
+        return best, rows
 
     reward = game.reward1 if player == 0 else -game.reward1
     if game.levels is not None:
-        v, _, rows = _backward(game, reward, reply)
+        v, rows = _backward(game, reward, reply)
     else:
         v, rows, _ = _policy_iteration(game, reward, opponent, player)
     policy = np.zeros(rows.shape)

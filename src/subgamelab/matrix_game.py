@@ -19,7 +19,11 @@ at once, so a dynamic-programming sweep over many small stage games costs
 a few pivots' worth of numpy calls rather than one LP per state. A single
 mixed matrix (a one-row learner refresh, the CLI) takes a plain one-tableau
 pivot loop instead, which is about twice as fast for it. Matrices are small
-(tens of actions), so no sparsity or scaling tricks are needed.
+(tens of actions), so no sparsity or scaling tricks are needed. On a tall
+stack the saddle test's row minima and column maxima are chains of
+elementwise calls over the short action axes (``game._reduce_short``),
+which give numpy's reductions bit for bit at a fraction of their cost; a
+short stack, one matrix included, keeps numpy's reductions.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .game import _TALL, _reduce_short
 
 # feasibility/optimality tolerance for the simplex; results are quoted at 1e-9
 _TOL = 1e-10
@@ -171,10 +177,16 @@ def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the others go to one simplex together.
     """
     k, m, n = a.shape
-    row_mins = a.min(axis=2)
-    col_maxs = a.max(axis=1)
-    values = row_mins.max(axis=1)
-    mixed = values != col_maxs.min(axis=1)
+    if k < _TALL:
+        row_mins = a.min(axis=2)
+        col_maxs = a.max(axis=1)
+        values = row_mins.max(axis=1)
+        mixed = values != col_maxs.min(axis=1)
+    else:
+        row_mins = _reduce_short(np.minimum, a, 2)
+        col_maxs = _reduce_short(np.maximum, a, 1)
+        values = _reduce_short(np.maximum, row_mins, 1)
+        mixed = values != _reduce_short(np.minimum, col_maxs, 1)
     mixed_count = np.count_nonzero(mixed)
     if mixed_count == k:  # nothing to gather or scatter
         return _simplex(a)

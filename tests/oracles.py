@@ -20,7 +20,9 @@ cyclic equilibrium solver as pure Hoffman-Karp strategy iteration (no
 Newton steps), the reference for the safeguarded Newton iteration of
 ``solve_ne``. ``dense_game`` builds small
 hand-written games from a dense transition tensor, ``stopping_game`` turns
-a game into one that ends under every pair of policies at discount 1; ``episode_of`` and
+a game into one that ends under every pair of policies at discount 1,
+``random_layered_game`` makes acyclic games whose level slices hold many
+states; ``episode_of`` and
 ``steps_of`` convert between an ``Episode`` and its per-step tuples.
 """
 
@@ -162,6 +164,27 @@ def random_acyclic_game(rng, states=5, a1=2, a2=2, support=2, gamma=0.9) -> Game
     rho = rng.random(states) + 0.1
     return GameSpec(next_states, next_probs, reward1, gamma, rho / rho.sum(),
                     rng.random((states, 2)))
+
+
+def random_layered_game(rng, layers=3, width=100, a1=4, a2=5, support=2,
+                        gamma=0.9) -> GameSpec:
+    """A random acyclic game of ``layers`` blocks of ``width`` states; each block is one level.
+
+    A state's ``support`` successors lie in the next block (the last block's
+    end the game), so the backward pass solves ``width`` stage games per
+    slice. Rewards are halves in [-1, 1] rounded from uniforms, so zeros,
+    -0.0 and tied entries are common.
+    """
+    s_count = layers * width
+    shape = (s_count, a1, a2, support)
+    next_block = (np.arange(s_count) // width + 1) * width
+    next_states = np.minimum(next_block[:, None, None, None] + rng.integers(0, width, shape),
+                             s_count)
+    next_probs = rng.dirichlet(np.ones(support), size=shape[:3])
+    reward1 = np.round(rng.uniform(-2.0, 2.0, size=shape[:3])) / 2.0
+    rho = rng.random(s_count) + 0.1
+    return GameSpec(next_states, next_probs, reward1, gamma, rho / rho.sum(),
+                    rng.random((s_count, 2)))
 
 
 def stopping_game(game: GameSpec, stop: float) -> GameSpec:

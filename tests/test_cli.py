@@ -201,8 +201,14 @@ def test_replicate_fig2_subcommand(tmp_path, capsys):
      ["subgamelab ne-solve: error: --width does not apply to env rps"]),
     (["ne-solve", "--env", "grid_pursuit", "--n", "3"],
      ["subgamelab ne-solve: error: --n does not apply to env grid_pursuit"]),
+    (["ne-solve", "--env", "rps", "--n", "13"],
+     ["subgamelab ne-solve: error: invalid rps parameters:",
+      "- --n must lie in 1..12 (tabular oracles), got 13"]),
+    (["ne-solve", "--env", "grid_pursuit", "--width", "1"],
+     ["subgamelab ne-solve: error: invalid grid_pursuit parameters:",
+      "- --width must be >= 2, got 1"]),
 ], ids=["bad_config", "missing_config", "rps_without_rounds", "grid_flag_on_rps",
-        "rps_flag_on_grid"])
+        "rps_flag_on_grid", "rps_rounds_out_of_range", "grid_width_out_of_range"])
 def test_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, lines):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("env = rps\nrps_n = 2\nmethod = sacl\n"

@@ -127,6 +127,15 @@ def test_fps_matches_exhaustive_max_min_distance():
     assert kept == sorted(best) == [0.0, 1.0]
 
 
+def test_fps_keeps_a_member_picked_twice_once():
+    # after 0.0 and 1.0 every distance to the selection is zero, so the third
+    # pick is state 0 again: the buffer keeps two members, not three
+    buf, game = one_dim_buffer([0.0, 0.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0])
+    fps_prune(buf, 3, game)
+    assert buf.states.tolist() == [0, 2]
+    assert buf.weights.tolist() == [2.0, 1.0]
+
+
 def test_fps_deterministic_and_keeps_weights():
     rng = np.random.default_rng(3)
     pts = rng.random((20, 3))
@@ -422,6 +431,27 @@ def test_compute_weights_rejects_a_state_outside_the_matrix(variant, state):
     with pytest.raises(ValueError, match=f"state {state} is not a state index in 0..1"):
         compute_weights([0, state, 1], members, members, MetricConfig(variant=variant),
                         td_context=([0.0] * 3, [2] * 3))
+
+
+@pytest.mark.parametrize("states, bad", [
+    ([1.5], "1.5"), ([True], "True"), ([0, 1.0], "1.0"), (np.array([1.5]), "1.5"),
+    (np.array([True]), "True"), ([], None), ([1, 1], None), (np.array([1]), None),
+    (np.array([1], dtype=np.uint8), None),
+], ids=["float", "bool", "float_after_int", "float_array", "bool_array", "empty", "ints",
+        "int_array", "uint8_array"])
+def test_compute_weights_takes_only_integer_states(states, bad):
+    # np.int64 would read 1.5 and True as state 1
+    current, previous = np.arange(4.0).reshape(2, 2), np.zeros((2, 2))
+    for variant in METRIC_VARIANTS:
+        cfg = MetricConfig(variant=variant)
+        td = ([0.0] * len(states), [2] * len(states))
+        if bad is None:
+            expected = compute_weights([1] * len(states), current, previous, cfg, td_context=td)
+            got = compute_weights(states, current, previous, cfg, td_context=td)
+            assert got.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match=f"state {bad} is not an integer state index"):
+                compute_weights(states, current, previous, cfg, td_context=td)
 
 
 @pytest.mark.parametrize("current, previous", [

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,7 +14,8 @@ from subgamelab import evaluation as evaluation_module
 
 from oracles import (dense_game, dense_matchup_values, hoffman_karp_strategy_iteration,
                      per_state_value_iteration, random_acyclic_game, random_game,
-                     shapley_backup, stopping_game, tree_maximin_values)
+                     random_layered_game, shapley_backup, stopping_game,
+                     tree_maximin_values)
 
 ROCK_ONLY = np.array([[1.0, 0.0, 0.0]])
 
@@ -427,3 +429,50 @@ def test_undiscounted_chain_that_never_ends_fails_loudly():
         best_response(game, first, player=0)  # the maximizer's best reply never ends
     with pytest.raises(ValueError, match="never"):
         solve_ne(game)
+
+
+# level slices of hundreds of states: the stage reductions of the backward
+# pass and of the best reply take their tall-stack path
+TALL_SLICES = {
+    "grid4x4x3": lambda: make_grid_pursuit(GridPursuitParams(4, 4, 3)),  # 240 per slice
+    "layered3x100": lambda: random_layered_game(np.random.default_rng(5)),
+}
+TALL_SLICE_DIGESTS = {
+    "grid4x4x3": "8eab14f1c9e1ab4ba9aa98b6b0cfb02ed311cfb1e0f3580f10d11b71d5f92457",
+    "layered3x100": "cdf0dcc00999670c80b934c678799c0516e711a85514380c0c1c4b5a97579261",
+}
+
+
+@pytest.mark.parametrize("name", TALL_SLICES)
+def test_oracles_on_tall_slices_match_their_recorded_digest(name):
+    # every output bit of the three exact oracles, -0.0 against 0.0 included,
+    # as recorded before the tall-stack reductions were chained
+    game = TALL_SLICES[name]()
+    assert min(s.stop - s.start for s in game.levels) >= 100
+    ne = solve_ne(game)
+    p1, p2 = random_joint(np.random.default_rng(9), game)
+    report = exploitability(game, ne.ne_policy)
+    br1, value1 = best_response(game, p2, player=0)
+    br2, value2 = best_response(game, p1, player=1)
+    scalars = [ne.residual, report.br_value_1, report.br_value_2, value1, value2,
+               matchup_value(game, p1, p2), matchup_value(game, br1, br2)]
+    digest = hashlib.sha256()
+    for part in (ne.v_star, ne.q_star, ne.ne_policy.p1, ne.ne_policy.p2, br1, br2, scalars):
+        digest.update(_bits(part))
+    assert digest.hexdigest() == TALL_SLICE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("support", range(1, 10))
+@pytest.mark.parametrize("width", [1, 100])
+def test_stages_is_the_expectation_over_the_support_bit_for_bit(support, width):
+    # chained for short supports on tall slices, numpy's sum elsewhere; a
+    # fifth of the values are -0.0
+    rng = np.random.default_rng(support)
+    game = random_layered_game(rng, layers=2, width=width, support=support)
+    v_ext = np.append(np.round(rng.uniform(-2.0, 2.0, game.state_count)) / 2.0, 0.0)
+    v_ext[rng.random(v_ext.size) < 0.2] = -0.0
+    for reward in (game.reward1, -game.reward1):
+        for s in game.levels + [slice(None)]:
+            expected = reward[s] + game.discount * (
+                game.next_probs[s] * v_ext[game.next_states[s]]).sum(-1)
+            assert _bits(evaluation_module._stages(game, reward, v_ext, s)) == _bits(expected)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from subgamelab import (GridPursuitParams, Policy, RpsParams, UniformStream,
                         make_grid_pursuit, make_rps, rollout, sample_initial, solve_ne,
                         uniform_policy)
-from subgamelab.game import _draw
+from subgamelab.game import _TALL, _draw, _reduce_short
 
 from oracles import (dense_game, random_acyclic_game, random_game, reference_rollout,
                      searchsorted_draw, steps_of, tree_maximin_values)
@@ -319,3 +319,28 @@ def test_rollout_columns_equal_the_reference_steps(game, seed, epsilon, max_step
         cum = np.cumsum(p, axis=1)
         assert {s for s, row in enumerate(slots) if row is not None} == visited
         assert all(slots[s] == cum[s].tolist() for s in visited)
+
+
+# signed zeros, ties and magnitudes far apart, so an add in another order
+# or a tie resolved to the other zero shows in the bits
+REDUCE_ENTRIES = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300, -3e16, 3e16, 0.1, -0.7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ufunc=st.sampled_from([np.minimum, np.maximum, np.add]),
+       height=st.sampled_from([1, 2, _TALL - 1, _TALL, _TALL + 1, 1000, 30_000]),
+       width=st.integers(1, 5), terms=st.integers(1, 10), last=st.booleans())
+def test_reduce_short_is_the_numpy_reduction_bit_for_bit(seed, ufunc, height, width, terms,
+                                                         last):
+    # a (height, width, terms) stack reduced over its last axis, or a
+    # (height, terms, width) stack over its middle one; from 8 terms the
+    # helper hands over to numpy
+    rng = np.random.default_rng(seed)
+    shape, axis = ((height, width, terms), 2) if last else ((height, terms, width), 1)
+    a = REDUCE_ENTRIES[rng.integers(0, REDUCE_ENTRIES.size, shape)]
+    expected = ufunc.reduce(a, axis=axis)
+    got = _reduce_short(ufunc, a, axis)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    flat = a.reshape(height * a.shape[1], a.shape[2]) if last else a[:, :, 0]
+    assert _reduce_short(ufunc, flat, 1).tobytes() == ufunc.reduce(flat, axis=1).tobytes()

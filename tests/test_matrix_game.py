@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subgamelab import solve, solve_stack
+from subgamelab.game import _TALL
 
 from oracles import support_enumeration_value
 
@@ -126,6 +127,20 @@ def test_solve_stack_is_solve_per_matrix_bit_for_bit(k, m, n, seed, ties):
     rng = np.random.default_rng(seed)
     stack = (rng.integers(-2, 3, size=(k, m, n)).astype(np.float64) if ties
              else rng.uniform(-1.0, 1.0, size=(k, m, n)))
+    _assert_stack_is_solve_per_matrix(stack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([_TALL, 3 * _TALL]), m=st.integers(1, 9), n=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+@example(k=_TALL, m=9, n=2, seed=0, ties=True)
+def test_solve_stack_on_a_tall_stack_is_solve_per_matrix_bit_for_bit(k, m, n, seed, ties):
+    # a stack of at least _TALL matrices takes the chained saddle test; one
+    # matrix alone takes numpy's reductions. Half the zeros are -0.0
+    rng = np.random.default_rng(seed)
+    stack = (rng.integers(-2, 3, size=(k, m, n)).astype(np.float64) if ties
+             else rng.uniform(-1.0, 1.0, size=(k, m, n)))
+    stack[(stack == 0.0) & (rng.random(stack.shape) < 0.5)] = -0.0
     _assert_stack_is_solve_per_matrix(stack)
 
 

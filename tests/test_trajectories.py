@@ -7,10 +7,12 @@ curriculum changes at least one digest. The configs follow
 ``perfbench/golden.py`` at a smaller scale: rps n=3 under all three methods
 (seeds 0-2, the ``fig2_run_config`` budgets) and the 3x3x4 grid under
 ``sacl`` with the ``full`` and ``td_error`` metrics (seed 0, budget 20k).
-Those all explore uniformly (epsilon=1), so the grid is also run with
-mixed and greedy policies, which the learner rebuilds as its tables move:
-``sacl``/``full`` at epsilon=0.5 with ``batch_size`` 3 (budget 12k) and
-``self_play`` at epsilon=0 (budget 4k). Greedy play from zero tables never
+Those all learn at a constant rate, so rps n=3 under ``sacl`` also runs
+with ``lr_decay = visit_count``, the learner's default, on mixed stage
+games. They all explore uniformly (epsilon=1), so the grid is also run
+with mixed and greedy policies, which the learner rebuilds as its tables
+move: ``sacl``/``full`` at epsilon=0.5 with ``batch_size`` 3 (budget 12k)
+and ``self_play`` at epsilon=0 (budget 4k). Greedy play from zero tables never
 captures, so the epsilon=0 CSV pins the sample counts that greedy episodes
 reach, not a learning curve. The 3x3x4 grid also runs under
 ``full_access_order`` (budget 20k): once with the default capture reward
@@ -47,8 +49,10 @@ FULL_ACCESS = {
 
 def config(name: str) -> str:
     if name.startswith("rps3-"):
-        method = name.removeprefix("rps3-")
-        return "\n".join(LEARNER + [
+        method, _, decay = name.removeprefix("rps3-").partition("-")
+        learner = [f"lr_decay = {decay}" if line.startswith("lr_decay") and decay else line
+                   for line in LEARNER]
+        return "\n".join(learner + [
             "env = rps", "rps_n = 3", f"method = {method}", "variant = uniform",
             "episodes_per_epoch = 4", "seeds = 0, 1, 2",
             f"sample_budget = {RPS_BUDGETS[method]}", "eval_every = 50",
@@ -78,6 +82,8 @@ DIGESTS = {
     "rps3-self_play": "41a3846511c92e2df93988ad60c31f020c074ff3b9ef92d84b8c2a93bd4f46f6",
     "rps3-sacl": "df8478aecaa465060e8fe33f4bb8909818c8c34542540e28af51555c369666cc",
     "rps3-full_access_order": "6a1808f3939dd6631e5fc03fc730e160ee8d945cb61240285c1c564952c353b2",
+    "rps3-sacl-visit_count":
+        "3563e278c7ff762bca62053d540c248386df7bd165b3a3130a16cb2a7ec00a0e",
     "grid3x3x4-sacl-full": "550a76d46a44d1d475d01f893908b300e587fe96485b5e2406dc4a46ce3fed5b",
     "grid3x3x4-sacl-td_error": "e4e655d68d60bebcb5835f18007bc78fb0da51a35a4e94d5ec3aee8c18572c94",
     "grid3x3x4-sacl-full-eps0.5-batch3":
